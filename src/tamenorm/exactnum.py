@@ -17,6 +17,7 @@ it.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 
 from .matrices import is_prime
 
@@ -81,29 +82,52 @@ def _ring_tables(k):
 
 @lru_cache(maxsize=None)
 def _lift_table(k, K):
-    """Images of z_k^j (j < deg Phi_k) inside Q[z]/Phi_K via z_k = z_K^(K/k)."""
+    """Images of z_k^j (j < deg Phi_k) inside Q[z]/Phi_K via z_k = z_K^(K/k),
+    as the nonzero (index, value) pairs of each image."""
     assert K % k == 0
     d_small, _ = _ring_tables(k)
     d_big, pows = _ring_tables(K)
     step = K // k
-    return d_big, tuple(pows[(j * step) % K] for j in range(d_small))
+    return d_big, _nonzero_rows(pows[(j * step) % K] for j in range(d_small))
 
 
 def _normalize(num, den):
     if den < 0:
         num = tuple(-x for x in num)
         den = -den
-    g = den
-    for x in num:
-        g = gcd(g, x)
-        if g == 1:
-            break
+    g = gcd(den, *num)
     if g > 1:
         num = tuple(x // g for x in num)
         den //= g
-    if all(x == 0 for x in num):
-        den = 1
     return num, den
+
+
+def _make(ell, k, num, den=1):
+    """Internal constructor for ring-op results.
+
+    The inputs are already valid (`num` a tuple of ints of length 2 deg Phi_k,
+    `den` > 0), so only the common factor is cancelled, and only when den > 1.
+    """
+    if den != 1:
+        num, den = _normalize(num, den)
+    x = _new(ExactScalar)
+    x.ell = ell
+    x.k = k
+    x.num = num
+    x.den = den
+    return x
+
+
+def _nonzero_rows(rows):
+    """``rows`` with each vector replaced by its nonzero (index, value) pairs."""
+    return tuple(tuple((t, v) for t, v in enumerate(row) if v) for row in rows)
+
+
+@lru_cache(maxsize=None)
+def _reduction(k):
+    """Nonzero entries of z^e mod Phi_k for d <= e < 2d - 1 (products of two residues)."""
+    d, pows = _ring_tables(k)
+    return _nonzero_rows(pows[d:2 * d - 1])
 
 
 class ExactScalar:
@@ -111,7 +135,10 @@ class ExactScalar:
 
     Coefficient layout: ``num[i*d + j]`` is the integer numerator of the
     coefficient of s^i z^j (i in {0,1}, j < d = deg Phi_k), all over the
-    common positive denominator ``den``.
+    common positive denominator ``den``.  Orders k = 1 and 2 have d = 1, so
+    their scalars are (num[0] + num[1] s) / den, a value in Q(s) that every
+    other order holds in positions 0 and d; ring operations with such an
+    operand work on those two positions and never lift it.
     """
 
     __slots__ = ("ell", "k", "num", "den")
@@ -123,12 +150,15 @@ class ExactScalar:
         if k < 1:
             raise ValueError("cyclotomic order must be >= 1")
         d, _ = _ring_tables(k)
-        num = tuple(int(x) for x in num)
+        num = tuple(_integer(x) for x in num)
+        den = _integer(den)
         if len(num) != 2 * d:
             raise ValueError("coefficient vector has wrong length")
+        if den == 0:
+            raise ValueError("denominator must be nonzero")
         self.ell = ell
         self.k = k
-        self.num, self.den = _normalize(num, int(den))
+        self.num, self.den = _normalize(num, den)
 
     # -- constructors -------------------------------------------------------
 
@@ -155,6 +185,8 @@ class ExactScalar:
     @staticmethod
     def zeta(ell, k, e=1):
         """The root of unity zeta_k^e."""
+        if k < 1:
+            raise ValueError(f"root of unity order must be >= 1, got {k}")
         d, pows = _ring_tables(k)
         vec = pows[e % k]
         return ExactScalar(ell, k, tuple(vec) + (0,) * d)
@@ -165,10 +197,6 @@ class ExactScalar:
     def d(self):
         return len(self.num) // 2
 
-    def _blocks(self):
-        d = self.d
-        return self.num[:d], self.num[d:]
-
     def lift(self, K):
         """The same value viewed in cyclotomic order K (k must divide K)."""
         if K == self.k:
@@ -176,107 +204,134 @@ class ExactScalar:
         if K % self.k != 0:
             raise ValueError("can only lift to a multiple order")
         d_big, table = _lift_table(self.k, K)
-        out = [0] * (2 * d_big)
-        a0, a1 = self._blocks()
-        for j, c in enumerate(a0):
-            if c:
-                for t, v in enumerate(table[j]):
-                    out[t] += c * v
-        for j, c in enumerate(a1):
-            if c:
-                for t, v in enumerate(table[j]):
-                    out[d_big + t] += c * v
-        return ExactScalar(self.ell, K, out, self.den)
+        num = self.num
+        d = len(num) // 2
+        out0 = [0] * d_big
+        out1 = [0] * d_big
+        for j, row in enumerate(table):
+            c0, c1 = num[j], num[d + j]
+            if c0:
+                for t, v in row:
+                    out0[t] += c0 * v
+            if c1:
+                for t, v in row:
+                    out1[t] += c1 * v
+        return _make(self.ell, K, tuple(out0 + out1), self.den)
+
+    def _coerce(self, other):
+        """`other` as a scalar over the same prime (rationals at order 1)."""
+        if isinstance(other, ExactScalar):
+            if other.ell == self.ell:
+                return other
+            raise ValueError("scalars live over different base primes")
+        q = Fraction(other)
+        return _make(self.ell, 1, (q.numerator, 0), q.denominator)
 
     def _common(self, other):
-        if not isinstance(other, ExactScalar):
-            other = ExactScalar.from_rational(other, self.ell, 1)
-        if other.ell != self.ell:
-            raise ValueError("scalars live over different base primes")
+        other = self._coerce(other)
+        if self.k == other.k:
+            return self, other
         K = lcm(self.k, other.k)
-        return self.lift(K), other.lift(K)
+        return (self if self.k == K else self.lift(K),
+                other if other.k == K else other.lift(K))
 
     # -- ring operations ----------------------------------------------------
 
+    def _add(self, other, sign):
+        """self + sign * other, for sign = +1 or -1."""
+        a, b = self, other
+        if not isinstance(b, ExactScalar) or b.ell != a.ell:
+            b = a._coerce(b)
+        if a.k != b.k:
+            if len(b.num) == 2 and a.k % b.k == 0:
+                return _add_small(a, b, 1, sign)
+            if len(a.num) == 2 and b.k % a.k == 0:
+                return _add_small(b, a, sign, 1)
+            a, b = a._common(b)
+        aden, bden = a.den, b.den
+        bn = b.num if sign > 0 else [-y for y in b.num]
+        if aden == bden:
+            return _make(a.ell, a.k, tuple([x + y for x, y in zip(a.num, bn)]), aden)
+        num = tuple([x * bden + y * aden for x, y in zip(a.num, bn)])
+        return _make(a.ell, a.k, num, aden * bden)
+
     def __add__(self, other):
-        a, b = self._common(other)
-        num = tuple(x * b.den + y * a.den for x, y in zip(a.num, b.num))
-        return ExactScalar(a.ell, a.k, num, a.den * b.den)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(self.ell, self.k, tuple(-x for x in self.num), self.den)
+        return _make(self.ell, self.k, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
-        a, b = self._common(other)
-        num = tuple(x * b.den - y * a.den for x, y in zip(a.num, b.num))
-        return ExactScalar(a.ell, a.k, num, a.den * b.den)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        a, b = self._common(other)
-        d, pows = _ring_tables(a.k)
-        ell = a.ell
-        a0, a1 = a._blocks()
-        b0, b1 = b._blocks()
+        a, b = self, other
+        if not isinstance(b, ExactScalar) or b.ell != a.ell:
+            b = a._coerce(b)
+        if len(b.num) == 2 and a.k % b.k == 0:
+            return _mul_small(a, b)
+        if len(a.num) == 2 and b.k % a.k == 0:
+            return _mul_small(b, a)
+        if a.k != b.k:
+            a, b = a._common(b)
+        k, ell = a.k, a.ell
+        an, bn = a.num, b.num
+        d = len(an) // 2
         # s-blocks: (a0 + a1 s)(b0 + b1 s) = (a0 b0 + ell a1 b1) + (a0 b1 + a1 b0) s
         conv0 = [0] * (2 * d - 1)
         conv1 = [0] * (2 * d - 1)
+        b_pairs = [(j, bn[j], bn[d + j]) for j in range(d) if bn[j] or bn[d + j]]
         for i in range(d):
-            x0, x1 = a0[i], a1[i]
-            if x0 == 0 and x1 == 0:
-                continue
-            for j in range(d):
-                y0, y1 = b0[j], b1[j]
-                if y0 == 0 and y1 == 0:
-                    continue
-                conv0[i + j] += x0 * y0 + ell * x1 * y1
-                conv1[i + j] += x0 * y1 + x1 * y0
-        out = [0] * (2 * d)
-        for e in range(2 * d - 1):
+            x0, x1 = an[i], an[d + i]
+            if x0 or x1:
+                ex1 = ell * x1
+                for j, y0, y1 in b_pairs:
+                    conv0[i + j] += x0 * y0 + ex1 * y1
+                    conv1[i + j] += x0 * y1 + x1 * y0
+        out0 = conv0[:d]
+        out1 = conv1[:d]
+        for e, row in enumerate(_reduction(k), d):
             c0, c1 = conv0[e], conv1[e]
-            if c0 == 0 and c1 == 0:
-                continue
-            if e < d:
-                out[e] += c0
-                out[d + e] += c1
-            else:
-                red = pows[e]
-                for t, v in enumerate(red):
-                    if v:
-                        out[t] += c0 * v
-                        out[d + t] += c1 * v
-        return ExactScalar(ell, a.k, out, a.den * b.den)
+            if c0 or c1:
+                for t, v in row:
+                    out0[t] += c0 * v
+                    out1[t] += c1 * v
+        return _make(ell, k, tuple(out0 + out1), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Exact inverse; raises NotInvertibleError for non-units."""
-        n = 2 * self.d
-        basis = []
-        for i in range(n):
-            vec = [0] * n
-            vec[i] = 1
-            e = ExactScalar(self.ell, self.k, vec)
-            basis.append((self * e))
+        num = self.num
+        if not any(num[1:]):
+            # a rational p/q: the inverse is q/p, no linear solve needed
+            p = num[0]
+            if p == 0:
+                raise NotInvertibleError("not invertible")
+            out = [0] * len(num)
+            out[0] = -self.den if p < 0 else self.den
+            return _make(self.ell, self.k, tuple(out), abs(p))
+        n = len(num)
+        basis = [self * _make(self.ell, self.k, tuple(int(i == j) for j in range(n)))
+                 for i in range(n)]
         # columns of the multiplication-by-self matrix, over Q
         M = [[Fraction(basis[j].num[i], basis[j].den) for j in range(n)] for i in range(n)]
         rhs = [Fraction(int(i == 0)) for i in range(n)]
         sol = _solve_fraction(M, rhs)
         if sol is None:
             raise NotInvertibleError("not invertible")
-        den = 1
-        for x in sol:
-            den = den * x.denominator // gcd(den, x.denominator)
-        num = [x.numerator * (den // x.denominator) for x in sol]
-        return ExactScalar(self.ell, self.k, num, den)
+        den = lcm(*(x.denominator for x in sol))
+        return _make(self.ell, self.k,
+                     tuple(x.numerator * (den // x.denominator) for x in sol), den)
 
     def __truediv__(self, other):
-        a, b = self._common(other)
-        return a * b.inverse()
+        # b^-1 lives at b's own order; the product lifts to the common order
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -284,41 +339,44 @@ class ExactScalar:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        r = ExactScalar.one(self.ell, self.k)
+        if e == 0:
+            return ExactScalar.one(self.ell, self.k)
+        r = None
         b = self
-        while e:
+        while True:
             if e & 1:
-                r = r * b
+                r = b if r is None else r * b
             e >>= 1
-            if e:
-                b = b * b
-        return r
+            if not e:
+                return r
+            b = b * b
 
     def conj(self):
         """The cyclotomic conjugation z -> z^(-1); fixes s.  An involution."""
-        d, pows = _ring_tables(self.k)
-        out = [0] * (2 * d)
-        a0, a1 = self._blocks()
+        k = self.k
+        d, pows = _ring_tables(k)
+        num = self.num
+        out0 = [0] * d
+        out1 = [0] * d
         for j in range(d):
-            red = pows[(self.k - j) % self.k]
-            if a0[j]:
-                for t, v in enumerate(red):
-                    out[t] += a0[j] * v
-            if a1[j]:
-                for t, v in enumerate(red):
-                    out[d + t] += a1[j] * v
-        return ExactScalar(self.ell, self.k, out, self.den)
+            c0, c1 = num[j], num[d + j]
+            if c0 or c1:
+                for t, v in enumerate(pows[(k - j) % k]):
+                    if v:
+                        out0[t] += c0 * v
+                        out1[t] += c1 * v
+        return _make(self.ell, k, tuple(out0 + out1), self.den)
 
     # -- predicates / conversions -------------------------------------------
 
     def is_zero(self):
-        return all(x == 0 for x in self.num)
+        return not any(self.num)
 
     def is_one(self):
         return self == 1
 
     def is_rational(self):
-        return all(x == 0 for i, x in enumerate(self.num) if i != 0)
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational():
@@ -327,7 +385,9 @@ class ExactScalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = ExactScalar.from_rational(other, self.ell, 1)
+            # both sides are in lowest terms
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and not any(self.num[1:]))
         if not isinstance(other, ExactScalar):
             return NotImplemented
         if self.ell != other.ell:
@@ -343,14 +403,15 @@ class ExactScalar:
     def serialize(self):
         """Canonical text form: sum of monomials p/q[*s][*z^j], or "0"."""
         d = self.d
+        den = self.den
         parts = []
         for j in range(d):
             for i in (0, 1):
                 c = self.num[i * d + j]
                 if c == 0:
                     continue
-                q = Fraction(c, self.den)
-                body = f"{q.numerator}" if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+                g = gcd(c, den)
+                body = f"{c // g}" if g == den else f"{c // g}/{den // g}"
                 if i == 1:
                     body += "*s"
                 if j == 1:
@@ -369,6 +430,44 @@ class ExactScalar:
         return f"ExactScalar({self.ell}, k={self.k}, {self.serialize()})"
 
 
+_new = object.__new__
+
+
+def _integer(x):
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"coefficients and denominator must be integers, got {x!r}") from None
+
+
+def _mul_small(a, b):
+    """a * b where b = (p + q s) / den has d = 1 and its order divides a's."""
+    p, q = b.num
+    num = a.num
+    if q == 0:
+        if p != 1:
+            num = tuple([p * x for x in num])
+    else:
+        d = len(num) // 2
+        a0, a1 = num[:d], num[d:]
+        qe = q * a.ell
+        num = tuple([p * x + qe * y for x, y in zip(a0, a1)]
+                    + [q * x + p * y for x, y in zip(a0, a1)])
+    return _make(a.ell, a.k, num, a.den * b.den)
+
+
+def _add_small(a, b, sa, sb):
+    """sa * a + sb * b where b = (p + q s) / den has d = 1 and its order
+    divides a's; sa and sb are +1 or -1."""
+    aden, bden = a.den, b.den
+    f = sa * bden
+    num = [x * f for x in a.num]
+    g = sb * aden
+    num[0] += b.num[0] * g
+    num[len(num) // 2] += b.num[1] * g
+    return _make(a.ell, a.k, tuple(num), aden * bden)
+
+
 def _solve_fraction(M, rhs):
     """Solve M x = rhs over Q; None if singular."""
     n = len(M)
@@ -385,19 +484,6 @@ def _solve_fraction(M, rhs):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return [work[i][n] for i in range(n)]
-
-
-def scalar_ops(a, b):
-    """Convenience triple (a+b, a*b, a^(-1) if a is a unit else None)."""
-    try:
-        inv = a.inverse()
-    except NotInvertibleError:
-        inv = None
-    return a + b, a * b, inv
-
-
-def conj_cyclo(a):
-    return a.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +563,3 @@ class Poly:
     def __repr__(self):
         return f"Poly[{self.serialize()}]"
 
-
-def poly_eval(P, x):
-    return P.eval(x)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classfield
-from .exactnum import ExactScalar, Poly, poly_eval
+from .exactnum import ExactScalar, Poly
 from .matrices import is_prime
 
 
@@ -115,9 +115,9 @@ def local_l_inverse(sp, chi_ell):
 
 
 def check_central_value(sp, chi):
-    """poly_eval(P, chi(ell)) must equal the independently-formed product."""
+    """P(chi(ell)) by Horner must equal the independently-formed product."""
     fp = frob_poly_from_satake(sp)
-    lhs = poly_eval(fp.p_central, chi.chi_ell)
+    lhs = fp.p_central.eval(chi.chi_ell)
     rhs = local_l_inverse(sp, chi.chi_ell)
     ok = lhs == rhs
     return {
@@ -198,7 +198,7 @@ def tame_group_algebra_check(cl, sp, ell, include_arithmetic=True):
     ok = True
     for chi in chars:
         val = chi.value(fr_idx, ell)
-        eig = poly_eval(P, val)
+        eig = P.eval(val)
         ind = local_l_inverse(sp, val)
         match = eig == ind
         ok = ok and match

@@ -75,6 +75,17 @@ def test_config_error_exit_2(tmp_path):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("alpha", ["0:0", "1:-3"])
+def test_alpha_order_below_one_is_config_error(tmp_path, capsys, alpha):
+    # a Satake parameter zeta_k^e needs k >= 1; no certificate is written
+    out = tmp_path / "x.json"
+    code = cli.main(["lfactor", "--n", "1", "--ell", "5", "--alpha", alpha, "1:2",
+                     "--out", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_coeffs_certificate_and_csv(tmp_path):
     code, cert = run_inproc(["coeffs", "--n", "2", "--ell", "2"], tmp_path)
     assert code == 0

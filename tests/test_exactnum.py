@@ -7,10 +7,10 @@ from tamenorm.exactnum import (
     ExactScalar,
     NotInvertibleError,
     Poly,
-    conj_cyclo,
     cyclotomic_poly,
-    poly_eval,
 )
+
+from oracles import RefScalar
 
 
 def rat(q, ell=5, k=1):
@@ -52,7 +52,7 @@ def test_conj_is_inverse_on_roots_of_unity():
     z = ExactScalar.zeta(2, 4)
     assert z.conj() == -z          # zeta_4^{-1} = zeta_4^3 = -zeta_4
     s = ExactScalar.sqrt_ell(7)
-    assert conj_cyclo(s) == s      # s is fixed
+    assert s.conj() == s           # s is fixed
 
 
 def test_conj_norm_phi3():
@@ -163,13 +163,13 @@ def test_poly_eval_trivial_and_derived():
     s = ExactScalar.sqrt_ell(ell)
     # P(X) = 1 - X at 1 -> 0
     P = Poly([one, -one])
-    assert poly_eval(P, one).is_zero()
+    assert P.eval(one).is_zero()
     # P(X) = (1 - sX)^2 at X = 1/5 -> (6 - 2s)/5, same expansion as above
     Q = Poly([one, -s]) * Poly([one, -s])
-    val = poly_eval(Q, rat(Fraction(1, 5)))
+    val = Q.eval(rat(Fraction(1, 5)))
     assert val == (rat(6) - rat(2) * s) / rat(5)
     # any P at 0 -> constant term
-    assert poly_eval(Q, rat(0)) == Q.constant_term()
+    assert Q.eval(rat(0)) == Q.constant_term()
 
 
 def test_poly_degree_trimming():
@@ -177,3 +177,129 @@ def test_poly_degree_trimming():
     P = Poly([rat(3), rat(1), z])
     assert P.degree == 1
     assert Poly([z]).degree == -1
+
+
+def test_public_constructor_rejects_zero_denominator():
+    with pytest.raises(ValueError):
+        ExactScalar(5, 1, (3, 0), 0)
+
+
+def test_public_constructor_rejects_non_integers():
+    with pytest.raises(ValueError):
+        ExactScalar(5, 1, (1.5, 0))
+    with pytest.raises(ValueError):
+        ExactScalar(5, 1, (1, 0), 2.0)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_zeta_rejects_orders_below_one(k):
+    with pytest.raises(ValueError):
+        ExactScalar.zeta(5, k, 1)
+
+
+# -- cross-checks against independent references ------------------------------
+
+ORDERS = (1, 2, 3, 4, 6, 12)
+
+
+def _random_num(rng, d):
+    """A coefficient vector: zero, rational, in Q(s), or general, with zeros
+    and negative entries."""
+    shape = rng.choice(("zero", "rational", "sqrt", "general", "general"))
+    num = [0] * (2 * d)
+    if shape == "general":
+        num = [rng.choice((0, rng.randint(-9, 9))) for _ in range(2 * d)]
+    elif shape != "zero":
+        num[0] = rng.randint(-9, 9)
+        if shape == "sqrt":
+            num[d] = rng.choice((-1, 1)) * rng.randint(1, 9)
+    return num
+
+
+def _pair(rng, ell, k):
+    """The same random value as (ExactScalar, RefScalar)."""
+    num = _random_num(rng, len(cyclotomic_poly(k)) - 1)
+    den = rng.choice((1, 1, rng.randint(2, 12)))
+    return ExactScalar(ell, k, num, den), RefScalar(ell, k, num, den)
+
+
+def _same(x, r):
+    """Same order and the same canonical representation and text."""
+    assert isinstance(x, ExactScalar)
+    assert (x.k, x.num, x.den) == (r.k, r.num, r.den)
+    assert x.serialize() == r.serialize()
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_kernel_matches_reference_arithmetic(ell):
+    rng = random.Random(4100 + ell)
+    for ka in ORDERS:
+        for kb in ORDERS:  # every ordered pair: order-1 operands on either side
+            for _ in range(2):
+                (a, ra), (b, rb) = _pair(rng, ell, ka), _pair(rng, ell, kb)
+                _same(a + b, ra + rb)
+                _same(a - b, ra - rb)
+                _same(b - a, rb - ra)
+                _same(a * b, ra * rb)
+                _same(b * a, rb * ra)
+                _same(-a, -ra)
+                _same(a.conj(), ra.conj())
+                assert (a == b) == (ra == rb)
+                assert a == a.lift(12) and a.lift(12) == a
+                _same(a.lift(12), ra.lift(12))
+                try:
+                    want = ra / rb
+                except ZeroDivisionError:
+                    with pytest.raises(NotInvertibleError):
+                        a / b
+                else:
+                    _same(a / b, want)
+                    _same(b.inverse(), rb.inverse())
+                    _same(b ** -2, rb ** -2)
+                _same(a ** 3, ra ** 3)
+                _same(a ** 0, ra ** 0)
+                q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                _same(a + q, ra + q)
+                _same(q + a, q + ra)
+                _same(a - q, ra - q)
+                _same(q - a, q - ra)
+                _same(a * q, ra * q)
+                _same(q * a, q * ra)
+                assert (a == q) == (ra == q)
+                if q:
+                    _same(a / q, ra / q)
+
+
+def test_kernel_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(314)
+
+    def to_sympy(a):
+        d = a.d
+        z = sympy.cos(2 * sympy.pi / a.k) + sympy.I * sympy.sin(2 * sympy.pi / a.k)
+        s = sympy.sqrt(a.ell)
+        return sum(sympy.Rational(a.num[i * d + j], a.den) * s ** i * z ** j
+                   for i in (0, 1) for j in range(d))
+
+    def is_zero(e):
+        e = sympy.expand(e)
+        return e == 0 or sympy.minimal_polynomial(e, x) == x
+
+    def element(ell, k):
+        while True:
+            a, _ = _pair(rng, ell, k)
+            if not a.is_zero():
+                return a
+
+    for _ in range(15):  # 30 random elements
+        ell = rng.choice((2, 3, 5, 7))
+        a, b = element(ell, rng.choice(ORDERS)), element(ell, rng.choice(ORDERS))
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert is_zero(to_sympy(a * b) - sa * sb)
+        assert is_zero(to_sympy(a + b) - (sa + sb))
+        try:
+            inv = a.inverse()
+        except NotInvertibleError:
+            continue
+        assert is_zero(to_sympy(inv) * sa - 1)
