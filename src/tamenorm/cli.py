@@ -35,7 +35,6 @@ class RunConfig:
     conductor: int = 1
     chi_order: int = 1
     depth: int = 2
-    truncation: int = 4
     alpha: tuple = ()
     group: str = "S3"
     model: str = "G"
@@ -100,7 +99,7 @@ def emit(cfg, cert):
 # subcommand drivers
 
 def run_coeffs(cfg):
-    ctx = hecke.HeckeContext(cfg.n, cfg.ell, cfg.truncation)
+    ctx = hecke.HeckeContext(cfg.n, cfg.ell)
     table = qcomb.b_coefficients(ctx.qctx)
     cong = qcomb.congruence_certificates(ctx.qctx)
     phi, phi_cert = hecke.assemble_phi(ctx)
@@ -323,7 +322,7 @@ def run_norm_relation(cfg):
         raise ValueError(f"ell = {ell} must split in the field of discriminant {d_E}")
     if m % ell == 0 or d_E % ell == 0:
         raise ValueError("ell must be coprime to the conductor and discriminant")
-    ctx = hecke.HeckeContext(n, ell, cfg.truncation)
+    ctx = hecke.HeckeContext(n, ell)
     results = {"seed": cfg.seed}
 
     # (1) coefficients and congruences
@@ -457,6 +456,16 @@ def _inputs(cfg, *names):
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="tamenorm",
@@ -483,7 +492,7 @@ def build_parser():
     p = sub.add_parser("mackey-test", help="cohomology-functor axiom battery")
     p.add_argument("--group", default="S3", help="S3, S4, D8 or GL2F3")
     p.add_argument("--model", default="G", choices=["G", "cosets", "two"])
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--generator-file", default="", dest="generator_file",
                    help="JSON {modulus, generators: [[..]]} matrix group")
     common(p)
@@ -514,7 +523,6 @@ def build_parser():
     p.add_argument("--conductor", type=int, default=1)
     p.add_argument("--alpha", nargs="+", required=True)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--truncation", type=int, default=4)
     p.add_argument("--perturb-b1", action="store_true", dest="perturb_b1",
                    help="negative control: the run must FAIL at step 3")
     common(p)

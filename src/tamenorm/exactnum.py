@@ -23,6 +23,8 @@ from .matrices import is_prime
 
 Rational = Fraction
 
+MAX_ORDER = 1000  # largest cyclotomic order k; the tables hold k * phi(k) entries
+
 
 class NotInvertibleError(ZeroDivisionError):
     """Raised when inverting a non-unit scalar."""
@@ -61,6 +63,8 @@ def cyclotomic_poly(k):
 @lru_cache(maxsize=None)
 def _ring_tables(k):
     """Reduction data for Q[z]/Phi_k: degree d and z^e mod Phi_k for e < max(k, 2d-1)."""
+    if k > MAX_ORDER:
+        raise ValueError(f"root of unity order {k} exceeds the bound {MAX_ORDER}")
     phi = cyclotomic_poly(k)
     d = len(phi) - 1
     n_pows = max(k, 2 * d - 1)

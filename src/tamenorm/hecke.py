@@ -1,4 +1,4 @@
-"""Coset calculus for GL_1 x GL_2n x GL_1 over Q_ell at finite truncation.
+"""Coset calculus for GL_1 x GL_2n x GL_1 over Q_ell.
 
 The operators U_m are finite sums of explicit cosets; grouping their unipotent
 parameters by rank reduces them to the psi_m, whose multiplicities are the
@@ -9,11 +9,13 @@ enumerated over F_ell.
 
 Everything is exact: matrix entries are rationals whose denominators are
 powers of ell, and membership in the level subgroup K (integral entries, unit
-determinants) is decided by valuations.
+determinants) is decided by valuations.  The U_m reduction scales its
+witnesses by ell to integer matrices and decides membership by divisibility.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from . import qcomb
@@ -25,6 +27,7 @@ from .matrices import (
     gl_order,
     inv_mod_matrix,
     is_prime,
+    mat_det,
     mat_inv,
     mat_mul,
     rank_mod,
@@ -42,15 +45,14 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class HeckeContext:
-    """Half-rank n, prime ell, truncation exponent N (representatives mod ell^N)."""
+    """Half-rank n and prime ell."""
 
     n: int
     ell: int
-    N: int = 4
 
     def __post_init__(self):
-        if self.n < 1 or not is_prime(self.ell) or self.N < 1:
-            raise ValueError("need n >= 1, ell prime, N >= 1")
+        if self.n < 1 or not is_prime(self.ell):
+            raise ValueError("need n >= 1, ell prime")
 
     @property
     def qctx(self):
@@ -202,11 +204,6 @@ class CosetSum:
 # ---------------------------------------------------------------------------
 # distinguished elements
 
-def t_matrix(m, n, ell):
-    """diag(ell,..,ell,1,..,1) with m entries ell, n x n."""
-    return [[ell if (i == j and i < m) else int(i == j) for j in range(n)] for i in range(n)]
-
-
 def x_r_matrix(r, n):
     """X_r = diag(1,..,1,0,..,0) with r ones (X_0 = 0), n x n."""
     return tuple(tuple(int(i == j and i < r) for j in range(n)) for i in range(n))
@@ -224,19 +221,25 @@ def g_r_element(r, ctx):
     return GroupElt(ell, 1, mat, 1)
 
 
-def _um_summand(X, m, ctx):
-    """(1, [[t_m, X], [0, 1]], det^{-1}) for X in M_{m x n}(F_ell), padded."""
+def _um_layout(X, m, ctx):
+    """The U_m summand for X as an integer matrix and a twist exponent.
+
+    The matrix is [[t_m, X], [0, 1]] with t_m = diag(ell,..,ell,1,..,1) (m
+    entries ell) and X padded to n x n; the twist is ell^e = det(t_m)^{-1}.
+    """
     n, ell = ctx.n, ctx.ell
-    mat = [[0] * (2 * n) for _ in range(2 * n)]
-    tm = t_matrix(m, n, ell)
-    for i in range(n):
-        for j in range(n):
-            mat[i][j] = tm[i][j]
-        mat[n + i][n + i] = 1
+    mat = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
     for i in range(m):
+        mat[i][i] = ell
         for j in range(n):
             mat[i][n + j] = X[i][j]
-    return GroupElt(ell, 1, mat, Fraction(1, ell ** m))
+    return mat, -m
+
+
+def _um_summand(X, m, ctx):
+    """(1, [[t_m, X], [0, 1]], det^{-1}) for X in M_{m x n}(F_ell), padded."""
+    mat, e = _um_layout(X, m, ctx)
+    return GroupElt(ctx.ell, 1, mat, Fraction(ctx.ell) ** e)
 
 
 def um_cosets(m, ctx):
@@ -293,37 +296,50 @@ def _verify_reduction(X, U, V, r, m, ctx):
 
     A = diag(U, 1) satisfies t_m A t_m^{-1} = A (block diagonal), B^{-1} is
     the integer lift of V, and the product k = (g_r,1)^{-1} h^{-1} g_X with
-    h^{-1} = diag(A t_m^{-1}, B) must land in K.  The twist of k is
-    det B / det A, an ell-unit.
+    h^{-1} = diag(A t_m^{-1}, B) must land in K.  ell (g_r,1)^{-1} and
+    ell h^{-1} are integer matrices, so k lies in GL_2n(Z_ell) iff ell^2
+    divides every entry of the integer matrix ell^2 k and v_ell(det(ell^2 k))
+    = 4n.  The twist of k is twist(g_X) ell^m det B / det A, an ell-unit.
     """
     n, ell = ctx.n, ctx.ell
+    size = 2 * n
     # n x n integer lifts
     A = [[U[i][j] if (i < m and j < m) else int(i == j) for j in range(n)] for i in range(n)]
     B = inv_mod_matrix(V, ell)  # B with B^{-1} = V mod ell
-    # h^{-1} matrix = diag(A t_m^{-1}, B); t_m^{-1} scales columns 1..m by 1/ell
-    size = 2 * n
-    h_inv = [[Fraction(0)] * size for _ in range(size)]
+    # ell h^{-1} = diag(ell A t_m^{-1}, ell B); t_m^{-1} scales columns 1..m by 1/ell
+    h_inv = [[0] * size for _ in range(size)]
     for i in range(n):
         for j in range(n):
-            h_inv[i][j] = Fraction(A[i][j], ell) if j < m else Fraction(A[i][j])
-            h_inv[n + i][n + j] = Fraction(B[i][j])
-    # (g_r, 1)^{-1} matrix = [[1, -ell^{-1} X_r], [0, 1]]
-    Xr = x_r_matrix(r, n)
-    g_r_inv = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    for i in range(n):
-        for j in range(n):
-            if Xr[i][j]:
-                g_r_inv[i][n + j] = Fraction(-1, ell)
-    gX = _um_summand(X, m, ctx)
-    k_mat = mat_mul(g_r_inv, mat_mul(h_inv, gX.mat))
-    if not (_mat_ell_integral(k_mat, ell) and _det_val_zero(k_mat, ell)):
+            h_inv[i][j] = A[i][j] if j < m else ell * A[i][j]
+            h_inv[n + i][n + j] = ell * B[i][j]
+    # ell (g_r, 1)^{-1} = [[ell, -X_r], [0, ell]]
+    g_r_inv = [[ell * (i == j) for j in range(size)] for i in range(size)]
+    for i in range(r):
+        g_r_inv[i][n + i] = -1
+    gX, twist_exp = _um_layout(X, m, ctx)
+    k_mat = _mul_sparse(g_r_inv, _mul_sparse(h_inv, gX))
+    ell2 = ell * ell
+    if any(x % ell2 for row in k_mat for x in row):
         return False
-    # twist bookkeeping: twist(k) = twist(g_X) / twist(h) with
-    # twist(h) = ell^{-m} det A det B^{-1}
-    detA = _det_fraction(A)
-    detB = _det_fraction(B)
-    twist_k = gX.twist * (ell ** m) * detB / detA
-    return detA != 0 and detB != 0 and v_ell(twist_k, ell) == 0
+    det = mat_det(k_mat)
+    if det == 0 or v_ell(det, ell) != 2 * size:
+        return False
+    detA = mat_det(A)
+    detB = mat_det(B)
+    return (detA != 0 and detB != 0
+            and twist_exp + m + v_ell(detB, ell) - v_ell(detA, ell) == 0)
+
+
+def _mul_sparse(A, B):
+    """Integer product A B that skips the zero entries of A."""
+    out = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for a, brow in zip(row, B):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +438,12 @@ def orbit_stabilizer(r, ctx):
                     orbit.add(Mn)
                     frontier.append(Mn)
 
-    rank_r_set = {M for M in all_matrices_mod(n, n, ell) if rank_mod(M, ell) == r}
-    orbit_matches_rank_stratum = orbit == rank_r_set
+    # the orbit is the rank-r stratum iff it lies inside it and has its size
+    ranks = _rank_table(n, ell)
+    orbit_matches_rank_stratum = (
+        len(orbit) == ranks.count(r)
+        and all(ranks[_matrix_index(M, ell)] == r for M in orbit)
+    )
     orbit_size = len(orbit)
     G2 = gl_order(n, ell) ** 2
     stab_exact = G2 % orbit_size == 0
@@ -452,6 +472,21 @@ def orbit_stabilizer(r, ctx):
         index_K_V1r=orbit_size * nu_order,
         certificate=cert,
     )
+
+
+@lru_cache(maxsize=1)
+def _rank_table(n, ell):
+    """The rank of every matrix in M_n(F_ell), in `all_matrices_mod` order."""
+    return bytes(rank_mod(M, ell) for M in all_matrices_mod(n, n, ell))
+
+
+def _matrix_index(M, ell):
+    """The position of M in `all_matrices_mod` order: its entries in base ell."""
+    i = 0
+    for row in M:
+        for x in row:
+            i = i * ell + x
+    return i
 
 
 def _nu_image(r, n, ell):

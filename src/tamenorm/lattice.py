@@ -13,15 +13,12 @@ measure identity that pins down the lambda coefficients of module `qcomb`.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from . import qcomb
 from .matrices import (
     ell_normalize,
-    ell_power_denominator,
     is_prime,
-    mat_inv,
     smith_ell_exponents,
     v_ell,
 )
@@ -121,61 +118,73 @@ def relative_position(L):
 def contains(L_big, L_small):
     """True iff L_small is a sublattice of L_big over Z_ell.
 
-    Solves rows(L_small) = X rows(L_big) exactly; containment holds iff every
-    coordinate of X is ell-integral.  Exploits the upper-triangular basis, so
-    only integer arithmetic with a common ell-power denominator is needed.
+    Reduces each row of L_small against the upper-triangular basis of L_big,
+    whose diagonal entries are powers of ell: a row lies in L_big iff every
+    pivot divides what is left in its column, column by column.
     """
     _check_compatible(L_big, L_small)
-    ell = L_big.ell
-    n = L_big.n
     H = L_big.basis
-    diag_val = [v_ell(H[i][i], ell) for i in range(n)]
+    n = L_big.n
     for b in L_small.basis:
-        # x_j = (b_j - sum_{i<j} x_i H[i][j]) / H[j][j], kept over ell^E
-        num = [0] * n
-        E = 0
+        b = list(b)
         for j in range(n):
-            s = b[j] * ell ** E - sum(num[i] * H[i][j] for i in range(j))
-            aj = diag_val[j]
-            for i in range(j):
-                num[i] *= ell ** aj
-            num[j] = s
-            E += aj
-        q = ell ** E
-        if any(x % q for x in num):
-            return False
+            d = H[j][j]
+            if b[j] % d:
+                return False
+            c = b[j] // d
+            if c:
+                Hj = H[j]
+                for i in range(j + 1, n):
+                    b[i] -= c * Hj[i]
     return True
 
 
 def join(L1, L2):
-    """The join L1 v L2 = L1 intersect L2, via duality: (L1* + L2*)*."""
+    """The join L1 v L2 = L1 intersect L2, via duality: (L1* + L2*)*.
+
+    With D the larger determinant, D L* is spanned by the columns of
+    (D / det H) adj(H) for the canonical basis H of L; the intersection is
+    spanned by the columns of D Hd^{-1} = D adj(Hd) / det(Hd), Hd the
+    canonical basis of D (L1* + L2*).  All of it is integer arithmetic.
+    """
     _check_compatible(L1, L2)
     ell, n = L1.ell, L1.n
+    adj = [_adjugate_upper(L.basis) for L in (L1, L2)]
+    D = max(det for det, _ in adj)
     dual_rows = []
-    for L in (L1, L2):
-        inv = mat_inv(L.basis)
-        dual_rows.extend(tuple(inv[i][j] for i in range(n)) for j in range(n))
-    t = 0
-    for row in dual_rows:
-        for x in row:
-            if x != 0:
-                t = max(t, v_ell(Fraction(x).denominator, ell))
-            if not ell_power_denominator(Fraction(x), ell):
-                raise ArithmeticError("dual basis has non-ell denominator")
-    scale = ell ** t
-    int_rows = [[int(x * scale) for x in row] for row in dual_rows]
-    Hd = ell_normalize(int_rows, ell)
-    inv = mat_inv(Hd)
-    res = [[Fraction(inv[i][j]) * scale for i in range(n)] for j in range(n)]
+    for det, X in adj:
+        s = D // det
+        dual_rows.extend([s * X[i][j] for i in range(n)] for j in range(n))
+    det_d, Xd = _adjugate_upper(ell_normalize(dual_rows, ell))
     out = []
-    for row in res:
-        r = []
-        for x in row:
-            if x.denominator != 1:
+    for j in range(n):
+        row = []
+        for i in range(n):
+            x = D * Xd[i][j]
+            if x % det_d:
                 raise ArithmeticError("intersection of integral lattices must be integral")
-            r.append(int(x))
-        out.append(r)
+            row.append(x // det_d)
+        out.append(row)
     return LatticeClass.from_rows(out, ell)
+
+
+def _adjugate_upper(H):
+    """(det H, adj H) of an upper-triangular integer matrix, by back substitution.
+
+    adj H = det(H) H^{-1} is integral, so each division below is exact.
+    """
+    n = len(H)
+    det = 1
+    for i in range(n):
+        det *= H[i][i]
+    X = [[0] * n for _ in range(n)]
+    for c in range(n):
+        for i in range(c, -1, -1):
+            s = det if i == c else 0
+            for j in range(i + 1, c + 1):
+                s -= H[i][j] * X[j][c]
+            X[i][c] = s // H[i][i]
+    return det, X
 
 
 def _check_compatible(L1, L2):
@@ -361,6 +370,7 @@ def verify_inclusion_exclusion(n, ell, depth):
     and the semilattice compatibility in poset form: L' below join(L1, L2)
     iff L' below L1 and L' below L2, over all member pairs.
     """
+    _check_depth(depth)
     members = enumerate_X_ge1(n, ell)
     M = len(members)
     w, n_chains = _chain_weights(members)
@@ -422,6 +432,7 @@ def verify_measure_identity(n, ell, depth):
     This is the identity defining the lambda coefficients, applied to the
     bi-invariant test functions that span all right-invariant ones.
     """
+    _check_depth(depth)
     lam = qcomb.lambda_coefficients(qcomb.QCombContext(n, ell))
     t_lattices = [LatticeClass.minimal_vector_lattice(m, n, ell) for m in range(1, n + 1)]
 
@@ -477,7 +488,15 @@ def solve_lambda_from_counts(n, ell):
     return lam
 
 
+def _check_depth(depth):
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+
+
 def _cert(identity, n, ell, depth, cases, ok, failure, extra=None):
+    """A verification certificate; it never passes on zero cases."""
+    if ok and cases < 1:
+        ok, failure = False, {"reason": "no cases checked"}
     out = {
         "identity": identity,
         "n": n,

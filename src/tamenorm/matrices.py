@@ -3,15 +3,15 @@
 Three flavours live here:
 
 * integer matrices: Hermite normal form (row style, upper triangular),
-  determinants, minor valuations (Smith exponents at a prime);
-* Fraction matrices: inverse / solve, for lattice duals and coset tests;
+  determinants, Smith exponents at a prime (elimination modulo a power of it);
+* Fraction matrices: inverse / solve, for the coset tests;
 * matrices over F_p and Z/p^N: rank, RREF, inverses, Smith witnesses.
 
 Everything is pure and allocation-cheap; sizes stay tiny (n <= 8).
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 
 # ---------------------------------------------------------------------------
@@ -23,8 +23,12 @@ def v_ell(x, ell):
         return v_ell(x.numerator, ell) - v_ell(x.denominator, ell)
     if x == 0:
         raise ValueError("valuation of zero")
+    return _valuation(abs(x), ell)
+
+
+def _valuation(x, ell):
+    """ell-adic valuation of a positive int."""
     v = 0
-    x = abs(x)
     while x % ell == 0:
         x //= ell
         v += 1
@@ -89,11 +93,13 @@ def mat_det(A):
                 return 0
             M[k], M[piv] = M[piv], M[k]
             sign = -sign
+        top = M[k][k + 1:]
+        akk = M[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
+            row = M[i]
+            aik = row[k]
+            row[k + 1:] = [(x * akk - aik * y) // prev for x, y in zip(row[k + 1:], top)]
+        prev = akk
     return sign * M[n - 1][n - 1]
 
 
@@ -172,31 +178,41 @@ def ell_normalize(rows, ell):
 def smith_ell_exponents(M, ell):
     """ell-exponents of the elementary divisors of a nonsingular integer matrix.
 
-    Computed from minor valuations: the i-th divisor exponent is
-    min-valuation over i x i minors minus the same for (i-1) x (i-1) minors.
-    Returned weakly increasing.
+    Elimination over Z_(ell) modulo ell^(k+1), k = v_ell(det M): pivot on an
+    entry of least valuation, clear the pivot column below it by unimodular
+    row operations (scale the row by the pivot's ell-unit part, subtract an
+    integer multiple of the pivot row) and record the pivot valuation.  Every
+    elementary divisor divides ell^k, so nothing is lost modulo ell^(k+1),
+    and the pivot row needs no clearing: its entries have valuation at least
+    the pivot's.  Returned weakly increasing.
     """
     n = len(M)
-    vals = [0]  # v(D_0) = 0
-    idx = range(n)
-    for size in range(1, n + 1):
-        best = None
-        for rs in combinations(idx, size):
-            for cs in combinations(idx, size):
-                d = mat_det([[M[r][c] for c in cs] for r in rs])
-                if d == 0:
-                    continue
-                v = v_ell(d, ell)
-                if best is None or v < best:
-                    best = v
-                if best == vals[-1]:
-                    break
-            if best == vals[-1]:
-                break
-        if best is None:
-            raise ValueError("singular matrix")
-        vals.append(best)
-    return tuple(vals[i + 1] - vals[i] for i in range(n))
+    det = mat_det(M)
+    if det == 0:
+        raise ValueError("singular matrix")
+    k = v_ell(det, ell)
+    if k == 0:
+        return (0,) * n
+    q = ell ** (k + 1)
+    A = [[x % q for x in row] for row in M]
+    exps = []
+    for t in range(n):
+        v, i, j = min((_valuation(A[i][j], ell), i, j)
+                      for i in range(t, n) for j in range(t, n) if A[i][j])
+        A[t], A[i] = A[i], A[t]
+        if j != t:
+            for row in A:
+                row[t], row[j] = row[j], row[t]
+        piv = A[t]
+        pv = ell ** v
+        unit = piv[t] // pv
+        for i in range(t + 1, n):
+            row = A[i]
+            if row[t]:
+                c = row[t] // pv
+                A[i] = [(unit * x - c * y) % q for x, y in zip(row, piv)]
+        exps.append(v)
+    return tuple(exps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,27 @@
 Everything here enumerates naively over F_q objects (q prime); none of it
 touches the closed forms or recurrences under test.  `RefScalar` is the
 original, unoptimised ExactScalar arithmetic, the slow reference for the
-fast kernel in tamenorm.exactnum.
+fast kernel in tamenorm.exactnum; `ref_smith_ell_exponents`, `ref_contains`,
+`ref_join` and `ref_verify_reduction` are the minor-enumeration and
+`Fraction` paths that the integer ell-adic kernels in tamenorm.matrices,
+tamenorm.lattice and tamenorm.hecke replaced.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd, lcm
+from itertools import combinations, permutations, product
+from math import gcd, lcm, prod
+
+from tamenorm import hecke
+from tamenorm.lattice import LatticeClass
+from tamenorm.matrices import (
+    ell_normalize,
+    ell_power_denominator,
+    inv_mod_matrix,
+    mat_inv,
+    mat_mul,
+    v_ell,
+)
 
 
 def all_vectors(n, q):
@@ -28,8 +42,12 @@ def span(vectors, n, q):
     return frozenset(space)
 
 
+@lru_cache(maxsize=None)
 def all_subspaces(n, q):
-    """Every subspace of F_q^n as a frozenset of points (exhaustive BFS)."""
+    """Every subspace of F_q^n as a frozenset of points (exhaustive BFS).
+
+    A subspace W not containing v grows to W + F_q v = {w + c v}.
+    """
     points = all_vectors(n, q)
     zero = span([], n, q)
     seen = {zero}
@@ -39,11 +57,15 @@ def all_subspaces(n, q):
         for v in points:
             if v in cur:
                 continue
-            nxt = span(list(cur) + [v], n, q)
+            nxt = frozenset(
+                tuple((x + c * y) % q for x, y in zip(w, v))
+                for w in cur
+                for c in range(q)
+            )
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return seen
+    return frozenset(seen)
 
 
 def subspace_dim(space, q):
@@ -314,3 +336,100 @@ class RefScalar:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
+
+
+# ---------------------------------------------------------------------------
+# The minor-enumeration and Fraction kernels replaced by integer ell-adic
+# elimination, kept as the slow references for relative_position, contains,
+# join and the U_m -> psi_m witness check.
+
+
+def _leibniz_det(M):
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+def ref_smith_ell_exponents(M, ell):
+    """Elementary-divisor ell-exponents from minor valuations.
+
+    The i-th exponent is the least valuation over i x i minors minus the same
+    for (i-1) x (i-1) minors.  Returned weakly increasing.
+    """
+    n = len(M)
+    vals = [0]
+    for size in range(1, n + 1):
+        best = None
+        for rs in combinations(range(n), size):
+            for cs in combinations(range(n), size):
+                d = _leibniz_det([[M[r][c] for c in cs] for r in rs])
+                if d != 0 and (best is None or v_ell(d, ell) < best):
+                    best = v_ell(d, ell)
+        if best is None:
+            raise ValueError("singular matrix")
+        vals.append(best)
+    return tuple(vals[i + 1] - vals[i] for i in range(n))
+
+
+def ref_contains(L_big, L_small):
+    """Solve rows(L_small) = X rows(L_big) over Q; contained iff X is ell-integral."""
+    X = mat_mul(L_small.basis, mat_inv(L_big.basis))
+    return all(x == 0 or v_ell(x, L_big.ell) >= 0 for row in X for x in row)
+
+
+def ref_join(L1, L2):
+    """L1 intersect L2 as (L1* + L2*)*, with Fraction inverses."""
+    ell, n = L1.ell, L1.n
+    dual_rows = []
+    for L in (L1, L2):
+        inv = mat_inv(L.basis)
+        dual_rows.extend(tuple(inv[i][j] for i in range(n)) for j in range(n))
+    t = 0
+    for row in dual_rows:
+        for x in row:
+            if x != 0:
+                t = max(t, v_ell(Fraction(x).denominator, ell))
+            if not ell_power_denominator(Fraction(x), ell):
+                raise ArithmeticError("dual basis has non-ell denominator")
+    scale = ell ** t
+    int_rows = [[int(x * scale) for x in row] for row in dual_rows]
+    inv = mat_inv(ell_normalize(int_rows, ell))
+    res = [[Fraction(inv[i][j]) * scale for i in range(n)] for j in range(n)]
+    out = []
+    for row in res:
+        if any(x.denominator != 1 for x in row):
+            raise ArithmeticError("intersection of integral lattices must be integral")
+        out.append([int(x) for x in row])
+    return LatticeClass.from_rows(out, ell)
+
+
+def ref_verify_reduction(X, U, V, r, m, ctx):
+    """The U_m witness check over Q: k = (g_r,1)^{-1} h^{-1} g_X lies in K."""
+    n, ell = ctx.n, ctx.ell
+    A = [[U[i][j] if (i < m and j < m) else int(i == j) for j in range(n)] for i in range(n)]
+    B = inv_mod_matrix(V, ell)
+    size = 2 * n
+    h_inv = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(n):
+        for j in range(n):
+            h_inv[i][j] = Fraction(A[i][j], ell) if j < m else Fraction(A[i][j])
+            h_inv[n + i][n + j] = Fraction(B[i][j])
+    Xr = hecke.x_r_matrix(r, n)
+    g_r_inv = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    for i in range(n):
+        for j in range(n):
+            if Xr[i][j]:
+                g_r_inv[i][n + j] = Fraction(-1, ell)
+    gX = hecke._um_summand(X, m, ctx)
+    k_mat = mat_mul(g_r_inv, mat_mul(h_inv, gX.mat))
+    if not (hecke._mat_ell_integral(k_mat, ell) and hecke._det_val_zero(k_mat, ell)):
+        return False
+    detA = hecke._det_fraction(A)
+    detB = hecke._det_fraction(B)
+    if detA == 0 or detB == 0:
+        return False
+    twist_k = gX.twist * (ell ** m) * detB / detA
+    return v_ell(twist_k, ell) == 0

@@ -86,6 +86,38 @@ def test_alpha_order_below_one_is_config_error(tmp_path, capsys, alpha):
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 
+
+def test_depth_below_one_is_config_error(tmp_path, capsys):
+    # a lattice sweep at depth 0 checks no case, so it is refused, not passed
+    out = tmp_path / "x.json"
+    code = cli.main(["verify-incl-excl", "--n", "2", "--ell", "3", "--depth", "0",
+                     "--out", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_samples_below_one_is_usage_error(tmp_path, samples):
+    out = tmp_path / "x.json"
+    proc = run_cli(["mackey-test", "--group", "S3", "--samples", samples, "--out", str(out)])
+    assert proc.returncode == 2
+    assert "--samples" in proc.stderr
+    assert not out.exists()
+
+
+def test_chi_order_beyond_bound_is_config_error(tmp_path):
+    out = tmp_path / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamenorm.cli", "lfactor", "--n", "1", "--ell", "5",
+         "--alpha", "0:1", "1:2", "--chi-order", "100000", "--out", str(out)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr
+    assert not out.exists()
+
+
 def test_coeffs_certificate_and_csv(tmp_path):
     code, cert = run_inproc(["coeffs", "--n", "2", "--ell", "2"], tmp_path)
     assert code == 0

@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 
 from tamenorm.exactnum import (
+    MAX_ORDER,
     ExactScalar,
     NotInvertibleError,
     Poly,
@@ -195,6 +196,16 @@ def test_public_constructor_rejects_non_integers():
 def test_zeta_rejects_orders_below_one(k):
     with pytest.raises(ValueError):
         ExactScalar.zeta(5, k, 1)
+
+
+def test_orders_above_the_bound_are_refused():
+    with pytest.raises(ValueError):
+        ExactScalar.zeta(5, MAX_ORDER + 1, 1)
+    with pytest.raises(ValueError):
+        ExactScalar.zeta(5, 100000, 1)
+    # the common order of two operands is bounded too: lcm(500, 3) > MAX_ORDER
+    with pytest.raises(ValueError):
+        ExactScalar.zeta(5, 500) * ExactScalar.zeta(5, 3)
 
 
 # -- cross-checks against independent references ------------------------------

@@ -1,6 +1,8 @@
 import pytest
 from fractions import Fraction
 
+from oracles import ref_verify_reduction
+from tamenorm import hecke
 from tamenorm.hecke import (
     CosetSum,
     GroupElt,
@@ -17,7 +19,13 @@ from tamenorm.hecke import (
     same_coset,
     um_cosets,
 )
+from tamenorm.matrices import all_matrices_mod, rank_mod, smith_witness_mod
 from tamenorm.qcomb import QCombContext, lambda_coefficients, rank_count
+
+# (n, ell, m) with ell^(mn) <= 81: every U_m summand is checked against the
+# Fraction oracle
+COSET_CELLS = [(n, ell, m) for n in (1, 2, 3) for ell in (2, 3, 5, 7)
+               for m in range(1, n + 1) if ell ** (m * n) <= 81]
 
 
 def test_um_coset_counts():
@@ -283,3 +291,71 @@ def test_orbit_report_json():
     rep = orbit_stabilizer(1, HeckeContext(2, 2))
     blob = json.dumps(rep.to_json_dict(), sort_keys=True)
     assert json.loads(blob)["orbit_size"] == 9
+
+
+def _witnesses(n, ell, m):
+    return [(X, *smith_witness_mod(X, ell)) for X in all_matrices_mod(m, n, ell)]
+
+
+def _is_witness(X, U, V, r, ell):
+    """U X V = E_r over F_ell, computed directly."""
+    m, n = len(X), len(X[0])
+    return all(
+        sum(U[i][a] * X[a][b] * V[b][j] for a in range(m) for b in range(n)) % ell
+        == int(i == j and i < r)
+        for i in range(m) for j in range(n)
+    )
+
+
+@pytest.mark.parametrize("n,ell,m", COSET_CELLS)
+def test_coset_check_matches_fraction_oracle(n, ell, m):
+    ctx = HeckeContext(n, ell)
+    for X, U, V, r in _witnesses(n, ell, m):
+        assert hecke._verify_reduction(X, U, V, r, m, ctx)
+        assert ref_verify_reduction(X, U, V, r, m, ctx), X
+
+
+@pytest.mark.parametrize("n,ell,m", COSET_CELLS)
+def test_coset_check_rejects_corrupt_witnesses(n, ell, m):
+    ctx = HeckeContext(n, ell)
+    wit = _witnesses(n, ell, m)
+    corrupt = []
+    for i, (X, U, V, r) in enumerate(wit):
+        _Y, U2, V2, _r2 = wit[(i + 1) % len(wit)]
+        if not _is_witness(X, U2, V, r, ell):
+            corrupt.append((X, U2, V, r))
+        if not _is_witness(X, U, V2, r, ell):
+            corrupt.append((X, U, V2, r))
+        for r2 in (r - 1, r + 1):
+            if 0 <= r2 <= n:
+                corrupt.append((X, U, V, r2))
+    assert len(corrupt) >= len(wit)
+    for X, U, V, r in corrupt:
+        assert not hecke._verify_reduction(X, U, V, r, m, ctx), (X, U, V, r)
+        assert not ref_verify_reduction(X, U, V, r, m, ctx), (X, U, V, r)
+
+
+@pytest.mark.parametrize("n,ell,m", [(1, 3, 1), (2, 2, 2), (2, 3, 1), (3, 2, 2)])
+def test_coset_check_rejects_perturbed_twist(n, ell, m, monkeypatch):
+    real = hecke._um_layout
+
+    def perturbed(X, m, ctx):
+        mat, e = real(X, m, ctx)
+        return mat, e + 1
+
+    monkeypatch.setattr(hecke, "_um_layout", perturbed)
+    ctx = HeckeContext(n, ell)
+    for X, U, V, r in _witnesses(n, ell, m):
+        assert not hecke._verify_reduction(X, U, V, r, m, ctx)
+        assert not ref_verify_reduction(X, U, V, r, m, ctx)
+    _psi, _counts, cert = reduce_um_to_psi(m, ctx)
+    assert cert["pass"] is False
+
+
+def test_rank_table_follows_enumeration_order():
+    ranks = hecke._rank_table(2, 3)
+    assert [ranks.count(r) for r in range(3)] == [rank_count(r, 2, QCombContext(2, 3))
+                                                   for r in range(3)]
+    for i, M in enumerate(all_matrices_mod(2, 2, 3)):
+        assert hecke._matrix_index(M, 3) == i
+        assert ranks[i] == rank_mod(M, 3)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from oracles import ref_contains, ref_join, ref_smith_ell_exponents
+from tamenorm import lattice
 from tamenorm.lattice import (
     BoundExceeded,
     InvariantVec,
@@ -13,10 +15,14 @@ from tamenorm.lattice import (
     join,
     relative_position,
     solve_lambda_from_counts,
+    sublattices_up_to_depth,
     verify_inclusion_exclusion,
     verify_measure_identity,
 )
+from tamenorm.matrices import mat_det, smith_ell_exponents
 from tamenorm.qcomb import QCombContext, lambda_coefficients
+
+ORACLE_CELLS = [(n, ell) for n in (1, 2, 3) for ell in (2, 3)] + [(2, 5)]
 
 
 def diag_lattice(exps, ell):
@@ -209,3 +215,67 @@ def test_enumerate_sublattices_depth_bound():
     Z2 = LatticeClass.standard(2, 3)
     with pytest.raises(BoundExceeded):
         enumerate_sublattices(InvariantVec((9, 0)), Z2)
+
+
+@pytest.mark.parametrize("n,ell", ORACLE_CELLS)
+def test_relative_position_matches_minor_oracle(n, ell):
+    for L in sublattices_up_to_depth(n, ell, 2):
+        assert smith_ell_exponents(L.basis, ell) == ref_smith_ell_exponents(L.basis, ell), L
+
+
+def test_smith_exponents_match_minor_oracle_on_random_matrices():
+    rng = random.Random(2718)
+    checked = 0
+    for ell in (2, 3, 5):
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            M = [[rng.choice((0, ell, -ell, ell * ell, ell ** 3, rng.randint(-30, 30)))
+                  for _ in range(n)] for _ in range(n)]
+            if mat_det(M) == 0:
+                for kernel in (smith_ell_exponents, ref_smith_ell_exponents):
+                    with pytest.raises(ValueError):
+                        kernel(M, ell)
+                continue
+            assert smith_ell_exponents(M, ell) == ref_smith_ell_exponents(M, ell), M
+            checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("n,ell", ORACLE_CELLS)
+def test_contains_matches_fraction_oracle(n, ell):
+    shallow = sublattices_up_to_depth(n, ell, 1)
+    for a in shallow:
+        for b in shallow:
+            assert contains(a, b) == ref_contains(a, b), (a, b)
+    deep = sublattices_up_to_depth(n, ell, 2)
+    rng = random.Random(n * 100 + ell)
+    for _ in range(300):
+        a, b = rng.choice(deep), rng.choice(deep)
+        assert contains(a, b) == ref_contains(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n,ell", [(2, 3), (3, 2), (2, 5)])
+def test_join_matches_fraction_oracle(n, ell):
+    members = enumerate_X_ge1(n, ell)
+    for a in members:
+        for b in members:
+            assert join(a, b) == ref_join(a, b), (a, b)
+    deep = sublattices_up_to_depth(n, ell, 2)
+    rng = random.Random(n * 1000 + ell)
+    for _ in range(200):
+        a, b = rng.choice(deep), rng.choice(deep)
+        assert join(a, b) == ref_join(a, b), (a, b)
+
+
+@pytest.mark.parametrize("verify", [verify_inclusion_exclusion, verify_measure_identity])
+@pytest.mark.parametrize("depth", [0, -1])
+def test_verifiers_reject_depth_below_one(verify, depth):
+    with pytest.raises(ValueError):
+        verify(2, 3, depth)
+
+
+def test_certificate_never_passes_on_zero_cases():
+    cert = lattice._cert("measure_identity", 2, 3, 1, 0, True, None)
+    assert cert["pass"] is False
+    assert cert["first_failure"] == {"reason": "no cases checked"}
+    assert lattice._cert("measure_identity", 2, 3, 1, 1, True, None)["pass"] is True
