@@ -591,7 +591,12 @@ def class_number_table(bound):
 
 def class_number_formula_sweep(bound):
     """Check enumerated h(d_E m^2) against the class-number formula for all
-    fundamental d_E and conductors m with |d_E| m^2 <= bound."""
+    fundamental d_E and conductors m with |d_E| m^2 <= bound.
+
+    The smallest case is d_E = -3, so a bound below 3 checks nothing and is
+    refused."""
+    if bound < 3:
+        raise ValueError(f"bound must be >= 3, got {bound}")
     table = class_number_table(bound)
     checked = 0
     failures = []

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from . import classfield, hecke, lattice, lfactor, mackey, qcomb
 from .exactnum import ExactScalar
+from .fingroup import CATALOG_NAMES
 from .lfactor import CharacterValue, SatakeParams
 
 SCHEMA = "trc-1"
@@ -30,7 +31,6 @@ class RunConfig:
     command: str
     n: int = 1
     ell: int = 5
-    p: int = 3
     disc: int = -4
     conductor: int = 1
     chi_order: int = 1
@@ -136,17 +136,27 @@ def run_verify_incl_excl(cfg):
     )
 
 
+def _load_generator_file(path):
+    """(generators, modulus, name) from a JSON {modulus, generators, name?} file."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        generators = [tuple(map(tuple, g)) for g in data["generators"]]
+        modulus, name = data["modulus"], data.get("name", "matgrp")
+    except (KeyError, TypeError, AttributeError):
+        raise ValueError("a generator file holds {\"modulus\": N, \"generators\": "
+                         "[matrices as lists of rows], \"name\": optional}") from None
+    if not isinstance(name, str):
+        raise ValueError("the group name must be a string")
+    return generators, modulus, name
+
+
 def run_mackey_test(cfg):
     rng = random.Random(cfg.seed)
     if cfg.generator_file:
-        with open(cfg.generator_file) as fh:
-            data = json.load(fh)
-        F = mackey.model_from_generators(
-            [tuple(map(tuple, g)) for g in data["generators"]],
-            data["modulus"],
-            which=cfg.model,
-            name=data.get("name", "matgrp"),
-        )
+        generators, modulus, cfg.group = _load_generator_file(cfg.generator_file)
+        F = mackey.model_from_generators(generators, modulus, which=cfg.model,
+                                         name=cfg.group)
     else:
         F = mackey.catalog_model(cfg.group, cfg.model)
     G = F.group
@@ -490,11 +500,12 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("mackey-test", help="cohomology-functor axiom battery")
-    p.add_argument("--group", default="S3", help="S3, S4, D8 or GL2F3")
+    p.add_argument("--group", default="S3", choices=CATALOG_NAMES)
     p.add_argument("--model", default="G", choices=["G", "cosets", "two"])
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--generator-file", default="", dest="generator_file",
-                   help="JSON {modulus, generators: [[..]]} matrix group")
+                   help="JSON {modulus, generators: [[..]], name} matrix group "
+                        "(replaces --group)")
     common(p)
 
     p = sub.add_parser("lfactor", help="local L-factor identities")

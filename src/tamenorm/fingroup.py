@@ -1,10 +1,19 @@
 """Small concrete finite groups: permutations and matrices over Z/N.
 
-Elements are hashable tuples; a FiniteGroup wraps the element set with its
-multiplication.  The catalog provides the groups used by the cohomology
+A FiniteGroup is built once from concrete hashable, orderable elements and
+their multiplication (Holt-Eick-O'Brien, Handbook of Computational Group
+Theory, ch. 3-5): the elements are interned as 0..|G|-1 in sorted order of
+the concrete elements, and products and inverses become lookups in a Cayley
+table and an inverse table.  Every group operation, subgroup and coset works
+on these indices; `labels[i]` is the concrete element behind index i and
+`index` the map back.  The catalog provides the groups used by the cohomology
 functor test battery: S_3, S_4, D_8, GL_2(F_3), each with a distinguished
 "Borel-like" subgroup for coset models.
 """
+
+# Largest group order accepted: the Cayley table holds |G|^2 entries.
+MAX_ORDER = 1000
+
 
 def _perm_mul(p, q):
     # (p*q)(i) = p(q(i))
@@ -18,84 +27,133 @@ def _perm_inv(p):
     return tuple(out)
 
 
+def _closure(gens, mul, identity):
+    """The set generated from `identity` by right multiplication with `gens`."""
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                if len(seen) > MAX_ORDER:
+                    raise ValueError(f"generated group exceeds order {MAX_ORDER}")
+                frontier.append(y)
+    return seen
+
+
 class FiniteGroup:
-    """A finite group with explicit elements and multiplication."""
+    """A finite group on the indices 0..|G|-1 with Cayley and inverse tables.
+
+    `mul` multiplies concrete elements; it is called |G|^2 times, here only.
+    `inv`, if given, is the concrete inverse and is checked against the
+    inverse table, which is read off the rows of the Cayley table.
+    """
 
     def __init__(self, elements, mul, inv, identity, name=""):
-        self.elements = tuple(elements)
-        self.mul = mul
-        self.inv = inv
-        self.identity = identity
+        labels = tuple(sorted(set(elements)))
+        n = len(labels)
+        if n > MAX_ORDER:
+            raise ValueError(f"group order {n} exceeds {MAX_ORDER}")
+        index = {x: i for i, x in enumerate(labels)}
+        if identity not in index:
+            raise ValueError("the identity is not an element")
+        try:
+            table = tuple(tuple(index[mul(x, y)] for y in labels) for x in labels)
+        except KeyError:
+            raise ValueError("the elements are not closed under multiplication") from None
+        e = index[identity]
+        if table[e] != tuple(range(n)) or any(row[e] != i for i, row in enumerate(table)):
+            raise ValueError("the identity does not act trivially")
+        try:
+            inverse = tuple(row.index(e) for row in table)
+        except ValueError:
+            raise ValueError("an element has no inverse") from None
+        if inv is not None and any(index.get(inv(x)) != inverse[i] for i, x in enumerate(labels)):
+            raise ValueError("inv disagrees with the Cayley table")
+        self.labels = labels
+        self.index = index
+        self.table = table
+        self.inverse = inverse
+        self.identity = e
+        self.elements = range(n)
         self.name = name
-        self._set = frozenset(self.elements)
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, g):
-        return g in self._set
+        return g in self.elements
 
     def __iter__(self):
         return iter(self.elements)
+
+    def mul(self, a, b):
+        return self.table[a][b]
+
+    def inv(self, a):
+        return self.inverse[a]
 
     # -- subgroup machinery --------------------------------------------------
 
     def generate(self, gens):
         """Subgroup generated by `gens`, as a frozenset."""
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.mul(x, g), self.mul(g, x)):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return frozenset(seen)
+        return frozenset(_closure(list(gens), self.mul, self.identity))
+
+    def generators(self):
+        """A generating set, chosen greedily in index order."""
+        gens, H = [], {self.identity}
+        for g in self.elements:
+            if g not in H:
+                gens.append(g)
+                H = self.generate(gens)
+        return gens
 
     def conjugate(self, g, H):
-        ginv = self.inv(g)
-        return frozenset(self.mul(self.mul(g, h), ginv) for h in H)
+        """g H g^{-1}."""
+        table = self.table
+        row, ginv = table[g], self.inverse[g]
+        return frozenset(table[row[h]][ginv] for h in H)
 
     def left_coset_reps(self, H, within=None):
         """Representatives of (within)/H, `within` a subgroup containing H."""
-        pool = within if within is not None else self._set
+        pool = within if within is not None else self.elements
         seen = set()
         reps = []
         for g in sorted(pool):
             if g in seen:
                 continue
             reps.append(g)
-            for h in H:
-                seen.add(self.mul(g, h))
+            row = self.table[g]
+            seen.update(row[h] for h in H)
         return reps
 
     def double_coset_reps(self, A, B, within=None):
-        pool = within if within is not None else self._set
+        pool = within if within is not None else self.elements
         seen = set()
         reps = []
         for g in sorted(pool):
             if g in seen:
                 continue
             reps.append(g)
-            for a in A:
-                ag = self.mul(a, g)
-                for b in B:
-                    seen.add(self.mul(ag, b))
+            seen.update(self.double_coset(A, g, B))
         return reps
 
     def double_coset(self, A, g, B):
-        return frozenset(self.mul(self.mul(a, g), b) for a in A for b in B)
+        table = self.table
+        return frozenset(table[table[a][g]][b] for a in A for b in B)
 
     def is_subgroup(self, H):
         if self.identity not in H:
             return False
-        return all(self.mul(a, self.inv(b)) in H for a in H for b in H)
+        table, inverse = self.table, self.inverse
+        return all(table[a][inverse[b]] in H for a in H for b in H)
 
     def is_normal(self, H, K):
         """H normal in K (both subgroups, H <= K)."""
-        return all(self.conjugate(k, H) == frozenset(H) for k in K)
+        H = frozenset(H)
+        return all(self.conjugate(k, H) == H for k in K)
 
 
 def symmetric_group(n, name=None):
@@ -108,11 +166,10 @@ def symmetric_group(n, name=None):
 
 def dihedral_8():
     """Symmetries of the square as permutations of its 4 vertices."""
-    s4 = symmetric_group(4)
     r = (1, 2, 3, 0)
     f = (1, 0, 3, 2)
-    elems = sorted(s4.generate([r, f]))
-    return FiniteGroup(elems, _perm_mul, _perm_inv, s4.identity, "D8")
+    ident = (0, 1, 2, 3)
+    return FiniteGroup(_closure([r, f], _perm_mul, ident), _perm_mul, _perm_inv, ident, "D8")
 
 
 def _matmul_modn(N):
@@ -126,43 +183,27 @@ def _matmul_modn(N):
     return mul
 
 
-def matrix_group_mod(generators, N, name="matgrp", max_order=200000):
-    """Closure of invertible generator matrices over Z/N."""
+def matrix_group_mod(generators, N, name="matgrp"):
+    """Closure of invertible square generator matrices over Z/N.
+
+    Raises ValueError for a modulus below 2, generators that are not square
+    integer matrices of one size, a non-invertible generator, or a group of
+    order above MAX_ORDER.
+    """
+    if isinstance(N, bool) or not isinstance(N, int) or N < 2:
+        raise ValueError("the modulus must be an integer >= 2")
+    if not generators:
+        raise ValueError("need at least one generator")
     n = len(generators[0])
+    for g in generators:
+        if n == 0 or len(g) != n or any(len(row) != n for row in g):
+            raise ValueError("generators must be square matrices of one size")
+        if any(isinstance(x, bool) or not isinstance(x, int) for row in g for x in row):
+            raise ValueError("generator entries must be integers")
     mul = _matmul_modn(N)
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     gens = [tuple(tuple(x % N for x in row) for row in g) for g in generators]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                if len(seen) > max_order:
-                    raise ValueError("generated group exceeds the configured bound")
-                frontier.append(y)
-    elems = sorted(seen)
-    order = {}
-
-    def inv(A):
-        # finite group: A^{-1} = A^{k-1} with k the order of A
-        if A in order:
-            k = order[A]
-        else:
-            k = 1
-            cur = A
-            while cur != ident:
-                cur = mul(cur, A)
-                k += 1
-            order[A] = k
-        out = ident
-        for _ in range(k - 1):
-            out = mul(out, A)
-        return out
-
-    return FiniteGroup(elems, mul, inv, ident, name)
+    return FiniteGroup(_closure(gens, mul, ident), mul, None, ident, name)
 
 
 def gl2_f3():
@@ -173,7 +214,12 @@ def gl2_f3():
 
 
 def gl2_f3_borel(G):
-    return frozenset(g for g in G if g[1][0] % 3 == 0)
+    return frozenset(i for i, g in enumerate(G.labels) if g[1][0] == 0)
+
+
+def _subgroup(G, *labels):
+    """The subgroup generated by concrete elements, as a frozenset of indices."""
+    return G.generate(G.index[x] for x in labels)
 
 
 CATALOG = {}
@@ -185,13 +231,13 @@ def catalog_group(name):
         return CATALOG[name]
     if name == "S3":
         G = symmetric_group(3)
-        B = G.generate([(1, 0, 2)])          # <(12)>
+        B = _subgroup(G, (1, 0, 2))                 # <(12)>
     elif name == "S4":
         G = symmetric_group(4)
-        B = G.generate([(1, 0, 2, 3), (0, 2, 1, 3)])  # S3 fixing the last point
+        B = _subgroup(G, (1, 0, 2, 3), (0, 2, 1, 3))  # S3 fixing the last point
     elif name == "D8":
         G = dihedral_8()
-        B = G.generate([(1, 2, 3, 0)])       # rotation subgroup
+        B = _subgroup(G, (1, 2, 3, 0))              # rotation subgroup
     elif name == "GL2F3":
         G = gl2_f3()
         B = gl2_f3_borel(G)

@@ -35,12 +35,14 @@ class FiniteGroupCtx:
         self.group = group
         self.sigma = frozenset(sigma) if sigma is not None else frozenset(group.elements)
         self.upsilon = tuple(frozenset(K) for K in upsilon)
+        self._levels = frozenset(self.upsilon)
         self._validate()
 
     def _validate(self):
         G = self.group
-        ups = set(self.upsilon)
-        if not any(K == frozenset({G.identity}) for K in ups):
+        table = G.table
+        ups = self._levels
+        if frozenset({G.identity}) not in ups:
             raise ValueError("Upsilon must contain the trivial subgroup "
                              "(a basis of open normal subgroups of each K)")
         for K in ups:
@@ -50,30 +52,28 @@ class FiniteGroupCtx:
                 raise ValueError("Upsilon member not contained in Sigma")
         if self.sigma != frozenset(G.elements):
             for s in self.sigma:
-                for t in self.sigma:
-                    if G.mul(s, t) not in self.sigma:
-                        raise ValueError("Sigma is not a submonoid")
-        symm = self.sigma | frozenset(G.inv(s) for s in self.sigma)
-        for g in symm:
-            for K in ups:
-                Kg = G.conjugate(g, K)
+                if any(table[s][t] not in self.sigma for t in self.sigma):
+                    raise ValueError("Sigma is not a submonoid")
+        symm = self.sigma | frozenset(G.inverse[s] for s in self.sigma)
+        conjugates = {K: {G.conjugate(g, K) for g in symm} for K in ups}
+        for K in ups:
+            for Kg in conjugates[K]:
                 if Kg <= self.sigma and Kg not in ups:
                     raise ValueError("Upsilon not closed under Sigma-conjugation")
         for K in ups:
             for L in ups:
-                for g in symm:
-                    M = K & G.conjugate(g, L)
-                    if M not in ups:
+                for Lg in conjugates[L]:
+                    if K & Lg not in ups:
                         raise ValueError("Upsilon not closed under twisted intersections")
 
     def has_level(self, K):
-        return frozenset(K) in set(self.upsilon)
+        return frozenset(K) in self._levels
 
 
 def upsilon_closure(group: FiniteGroup, seeds, sigma=None):
     """Close a seed family under conjugation and twisted intersections."""
     symm = frozenset(sigma) if sigma is not None else frozenset(group.elements)
-    symm = symm | frozenset(group.inv(s) for s in symm)
+    symm = symm | frozenset(group.inverse[s] for s in symm)
     fam = {frozenset({group.identity}), frozenset(group.elements)}
     fam.update(frozenset(K) for K in seeds)
     changed = True
@@ -99,8 +99,11 @@ def upsilon_closure(group: FiniteGroup, seeds, sigma=None):
 # ---------------------------------------------------------------------------
 # the function-space model
 
+ONE = Fraction(1)
+
+
 def _fn_clean(d):
-    return {x: v for x, v in d.items() if v != 0}
+    return {x: v for x, v in d.items() if v}
 
 
 def fn_equal(f, g):
@@ -110,7 +113,7 @@ def fn_equal(f, g):
 def fn_add(f, g):
     out = dict(f)
     for x, v in g.items():
-        out[x] = out.get(x, Fraction(0)) + v
+        out[x] = out.get(x, 0) + v
     return _fn_clean(out)
 
 
@@ -119,86 +122,103 @@ def fn_scale(f, c):
 
 
 class FunctorModel:
-    """M(K) = finitely supported functions on X/K, X a right G-set."""
+    """M(K) = finitely supported functions on X/K, X a right G-set.
+
+    The action is tabulated once: `_moves[g][i]` is the index of the point
+    `points[i] . g`, so `act` is called |X| |G| times, here only, and is
+    checked to be a right action on a generating set of G.  A function is a
+    dict from points to values; translating it touches only its support.
+    """
 
     def __init__(self, ctx: FiniteGroupCtx, points, act, name="fn-model"):
         self.ctx = ctx
         self.points = tuple(points)
-        self.act = act
         self.name = name
         G = ctx.group
-        for x in self.points[: min(6, len(self.points))]:
-            assert act(x, G.identity) == x
+        self._index = {x: i for i, x in enumerate(self.points)}
+        moves = tuple(tuple(self._index[act(x, g)] for x in self.points) for g in G.elements)
+        if moves[G.identity] != tuple(range(len(self.points))):
+            raise ValueError("the identity must fix every point")
+        for s in G.generators():
+            after_s = moves[s].__getitem__
+            if any(moves[G.table[g][s]] != tuple(map(after_s, moves[g])) for g in G.elements):
+                raise ValueError("act is not a right action: (x g) s != x (g s)")
+        self._moves = moves
         self._orbit_cache = {}
 
     @property
     def group(self):
         return self.ctx.group
 
+    def act(self, x, g):
+        return self.points[self._moves[g][self._index[x]]]
+
     def orbits(self, K):
         K = frozenset(K)
         if K not in self._orbit_cache:
+            columns = [self._moves[k] for k in K]
             seen = set()
             orbits = []
-            for x in self.points:
-                if x in seen:
+            for i in range(len(self.points)):
+                if i in seen:
                     continue
-                orb = {self.act(x, k) for k in K}
+                orb = {col[i] for col in columns}
                 seen |= orb
-                orbits.append(frozenset(orb))
+                orbits.append(frozenset(self.points[j] for j in orb))
             self._orbit_cache[K] = tuple(orbits)
         return self._orbit_cache[K]
 
     def basis(self, K):
         """Orbit indicator functions spanning M(K)."""
-        out = []
-        for orb in self.orbits(K):
-            out.append({x: Fraction(1) for x in orb})
-        return out
+        return [dict.fromkeys(orb, ONE) for orb in self.orbits(K)]
 
     def is_invariant(self, f, K):
         f = _fn_clean(f)
-        for x in list(f) if len(f) < len(self.points) else self.points:
-            for k in K:
-                if f.get(self.act(x, k), Fraction(0)) != f.get(x, Fraction(0)):
-                    return False
+        pts, index = self.points, self._index
+        columns = [self._moves[k] for k in K]
+        for x in list(f) if len(f) < len(pts) else pts:
+            i, v = index[x], f.get(x, 0)
+            if any(f.get(pts[col[i]], 0) != v for col in columns):
+                return False
         return True
 
     # morphism realisations ---------------------------------------------------
 
+    def _backs(self, gs):
+        """For each g in gs, the table of i -> index of points[i] . g^{-1}."""
+        inverse = self.group.inverse
+        return [self._moves[inverse[g]] for g in gs]
+
+    def _spread(self, f, backs):
+        """x -> sum over b in backs of f(x . g_b): each f(y) lands on y . g_b^{-1}."""
+        pts, index = self.points, self._index
+        out = {}
+        for y, v in f.items():
+            if v:
+                i = index[y]
+                for back in backs:
+                    x = pts[back[i]]
+                    out[x] = out[x] + v if x in out else v
+        return _fn_clean(out)
+
     def pullback(self, g, src, dst):
         """[g]^*: M(src) -> M(dst) for the morphism dst -> src given by g."""
         G = self.group
-        ginv = G.inv(g)
-        if not G.conjugate(ginv, frozenset(dst)) <= frozenset(src):
+        if not G.conjugate(G.inverse[g], dst) <= frozenset(src):
             raise ValueError("not a morphism: g^{-1} dst g must lie in src")
-
-        def apply(f):
-            return _fn_clean({x: f.get(self.act(x, g), Fraction(0)) for x in self.points})
-
-        return apply
+        backs = self._backs([g])
+        return lambda f: self._spread(f, backs)
 
     def pushforward(self, tau, src, dst):
         """[tau]_*: M(src) -> M(dst), summing over dst / (tau^{-1} src tau)."""
         G = self.group
-        conj = G.conjugate(G.inv(tau), frozenset(src))
+        tinv = G.inverse[tau]
+        conj = G.conjugate(tinv, src)
         if not conj <= frozenset(dst):
             raise ValueError("not a pushforward morphism: tau^{-1} src tau must lie in dst")
         reps = G.left_coset_reps(conj, within=frozenset(dst))
-        tinv = G.inv(tau)
-        movers = [G.mul(γ, tinv) for γ in reps]
-
-        def apply(f):
-            out = {}
-            for x in self.points:
-                v = Fraction(0)
-                for mv in movers:
-                    v += f.get(self.act(x, mv), Fraction(0))
-                if v:
-                    out[x] = v
-            return out
-
-        return apply
+        backs = self._backs(G.table[γ][tinv] for γ in reps)
+        return lambda f: self._spread(f, backs)
 
     def pr_pull(self, L, K):
         return self.pullback(self.group.identity, K, L)
@@ -208,7 +228,7 @@ class FunctorModel:
 
     def hat_action(self, g, f):
         """Smooth action of g on M-hat = C(X): (g.f)(x) = f(x g)."""
-        return _fn_clean({x: f.get(self.act(x, g), Fraction(0)) for x in self.points})
+        return self._spread(f, self._backs([g]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +242,14 @@ def check_c_axioms(F: FunctorModel, samples, rng):
     for _ in range(samples):
         L = levels[rng.randrange(len(levels))]
         g = G.elements[rng.randrange(len(G.elements))]
-        K = G.conjugate(G.inv(g), L)
+        K = G.conjugate(G.inverse[g], L)
         if not F.ctx.has_level(K):
             continue
         pull = F.pullback(g, K, L)
-        push = F.pushforward(G.inv(g), K, L)
+        push = F.pushforward(G.inverse[g], K, L)
         for zeta in F.basis(K):
             if not fn_equal(pull(zeta), push(zeta)):
-                return _mcert("C2", F, False, {"g": repr(g), "L": len(L)}, checked)
+                return _mcert("C2", F, False, {"g": repr(G.labels[g]), "L": len(L)}, checked)
         checked += 1
         # (C3): gamma in K acts as the identity on M(K)
         K2 = levels[rng.randrange(len(levels))]
@@ -237,7 +257,7 @@ def check_c_axioms(F: FunctorModel, samples, rng):
         ident = F.pushforward(gamma, K2, K2)
         for zeta in F.basis(K2):
             if not fn_equal(ident(zeta), zeta):
-                return _mcert("C3", F, False, {"gamma": repr(gamma)}, checked)
+                return _mcert("C3", F, False, {"gamma": repr(G.labels[gamma])}, checked)
     return _mcert("C1-C3", F, True, None, checked)
 
 
@@ -382,9 +402,10 @@ def check_convolution(F: FunctorModel, K, Kp, Kpp, sigma, tau):
     dc_tau = G.double_coset(frozenset(Kpp), tau, frozenset(Kp))
     dc_sigma = G.double_coset(frozenset(Kp), sigma, frozenset(K))
     # convolution of the two double-coset indicators, as left-K-coset weights
+    inv_tau = [G.table[G.inverse[h]] for h in dc_tau]
     conv = {}
     for g in G.left_coset_reps(frozenset(K)):
-        count = sum(1 for h in dc_tau if G.mul(G.inv(h), g) in dc_sigma)
+        count = sum(1 for row in inv_tau if row[g] in dc_sigma)
         if count:
             conv[g] = Fraction(count, len(Kp))
     checked = 0
@@ -524,30 +545,24 @@ def model_from_generators(generators, modulus, which="G", name="matgrp"):
 
 
 def _build_model(ctx, G, B, which, name):
+    if which not in ("G", "cosets", "two"):
+        raise ValueError(f"unknown model {which!r}")
+    table = G.table
     if which == "G":
         return FunctorModel(ctx, G.elements, G.mul, name=f"{name}/G")
+    # right cosets Bg under right translation, each named by its least element
+    canon = [min(table[b][g] for b in B) for g in G.elements]
+    cosets = sorted(set(canon))
     if which == "cosets":
-        def canon(g):
-            return min(G.mul(b, g) for b in B)
+        return FunctorModel(ctx, cosets, lambda x, g: canon[table[x][g]],
+                            name=f"{name}/cosets")
 
-        points = sorted({canon(g) for g in G.elements})
+    def act2(x, g):
+        tag, v = x
+        return (tag, table[v][g] if tag == "g" else canon[table[v][g]])
 
-        def act(x, g):
-            return canon(G.mul(x, g))
-
-        return FunctorModel(ctx, points, act, name=f"{name}/cosets")
-    if which == "two":
-        inner = _build_model(ctx, G, B, "cosets", name)
-
-        def act2(x, g):
-            tag, v = x
-            if tag == "g":
-                return ("g", G.mul(v, g))
-            return ("c", inner.act(v, g))
-
-        points = [("g", g) for g in G.elements] + [("c", x) for x in inner.points]
-        return FunctorModel(ctx, points, act2, name=f"{name}/two")
-    raise ValueError(f"unknown model {which!r}")
+    points = [("g", g) for g in G.elements] + [("c", x) for x in cosets]
+    return FunctorModel(ctx, points, act2, name=f"{name}/two")
 
 
 # ---------------------------------------------------------------------------

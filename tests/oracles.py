@@ -6,7 +6,9 @@ original, unoptimised ExactScalar arithmetic, the slow reference for the
 fast kernel in tamenorm.exactnum; `ref_smith_ell_exponents`, `ref_contains`,
 `ref_join` and `ref_verify_reduction` are the minor-enumeration and
 `Fraction` paths that the integer ell-adic kernels in tamenorm.matrices,
-tamenorm.lattice and tamenorm.hecke replaced.
+tamenorm.lattice and tamenorm.hecke replaced.  `RefGroup` is the finite
+group on concrete tuple elements that the index-based tamenorm.fingroup
+replaced: every product is recomputed and matrix inverses are powers.
 """
 
 from fractions import Fraction
@@ -433,3 +435,121 @@ def ref_verify_reduction(X, U, V, r, m, ctx):
         return False
     twist_k = gX.twist * (ell ** m) * detB / detA
     return v_ell(twist_k, ell) == 0
+
+
+# ---------------------------------------------------------------------------
+# finite groups on concrete elements
+
+
+class RefGroup:
+    """A finite group with explicit tuple elements and multiplication."""
+
+    def __init__(self, elements, mul, inv, identity, name=""):
+        self.elements = tuple(elements)
+        self.mul = mul
+        self.inv = inv
+        self.identity = identity
+        self.name = name
+        self._set = frozenset(self.elements)
+
+    def generate(self, gens):
+        seen = {self.identity}
+        frontier = [self.identity]
+        gens = list(gens)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                for y in (self.mul(x, g), self.mul(g, x)):
+                    if y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
+        return frozenset(seen)
+
+    def conjugate(self, g, H):
+        ginv = self.inv(g)
+        return frozenset(self.mul(self.mul(g, h), ginv) for h in H)
+
+    def left_coset_reps(self, H, within=None):
+        pool = within if within is not None else self._set
+        seen = set()
+        reps = []
+        for g in sorted(pool):
+            if g in seen:
+                continue
+            reps.append(g)
+            for h in H:
+                seen.add(self.mul(g, h))
+        return reps
+
+    def double_coset_reps(self, A, B, within=None):
+        pool = within if within is not None else self._set
+        seen = set()
+        reps = []
+        for g in sorted(pool):
+            if g in seen:
+                continue
+            reps.append(g)
+            for a in A:
+                ag = self.mul(a, g)
+                for b in B:
+                    seen.add(self.mul(ag, b))
+        return reps
+
+    def double_coset(self, A, g, B):
+        return frozenset(self.mul(self.mul(a, g), b) for a in A for b in B)
+
+    def is_subgroup(self, H):
+        if self.identity not in H:
+            return False
+        return all(self.mul(a, self.inv(b)) in H for a in H for b in H)
+
+    def is_normal(self, H, K):
+        return all(self.conjugate(k, H) == frozenset(H) for k in K)
+
+
+def _ref_perm_mul(p, q):
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def _ref_perm_inv(p):
+    return tuple(sorted(range(len(p)), key=lambda i: p[i]))
+
+
+def ref_symmetric_group(n):
+    return RefGroup(sorted(permutations(range(n))), _ref_perm_mul, _ref_perm_inv,
+                    tuple(range(n)), f"S{n}")
+
+
+def ref_matrix_group(generators, N, name="matgrp"):
+    """Closure of generator matrices over Z/N; A^{-1} = A^(k-1), k the order of A."""
+    n = len(generators[0])
+
+    def mul(A, B):
+        return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(n)) % N for j in range(n))
+                     for i in range(n))
+
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens = [tuple(tuple(x % N for x in row) for row in g) for g in generators]
+    G = RefGroup([ident], mul, None, ident, name)
+    elements = G.generate(gens)
+
+    def inv(A):
+        powers = [A]
+        while powers[-1] != ident:
+            powers.append(mul(powers[-1], A))
+        return powers[-2] if len(powers) > 1 else ident
+
+    return RefGroup(sorted(elements), mul, inv, ident, name)
+
+
+def ref_catalog_group(name):
+    """The catalog groups of tamenorm.fingroup, rebuilt on concrete elements."""
+    if name in ("S3", "S4"):
+        return ref_symmetric_group(int(name[1]))
+    if name == "D8":
+        S4 = ref_symmetric_group(4)
+        return RefGroup(sorted(S4.generate([(1, 2, 3, 0), (1, 0, 3, 2)])), _ref_perm_mul,
+                        _ref_perm_inv, S4.identity, "D8")
+    if name == "GL2F3":
+        return ref_matrix_group([((1, 1), (0, 1)), ((2, 0), (0, 1)), ((0, 2), (1, 0))], 3)
+    raise KeyError(name)

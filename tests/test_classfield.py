@@ -271,6 +271,18 @@ def test_class_number_sweep_small():
     assert rep["cases_checked"] > 300
 
 
+@pytest.mark.parametrize("bound", [2, 0, -5])
+def test_class_number_sweep_refuses_empty_range(bound):
+    # d_E = -3 is the first case, so a bound below 3 would pass on zero cases
+    with pytest.raises(ValueError):
+        class_number_formula_sweep(bound)
+
+
+def test_class_number_sweep_smallest_bound():
+    rep = class_number_formula_sweep(3)
+    assert rep["pass"] and rep["cases_checked"] == 1
+
+
 def test_structure_and_json():
     cl = ring_class_group(-4, 5)
     d = cl.to_json_dict()

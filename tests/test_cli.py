@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tamenorm import cli
+from tamenorm.fingroup import CATALOG_NAMES
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_SAMPLES = {"S3": 20, "D8": 20, "S4": 8, "GL2F3": 2}
 
 
 def run_cli(args):
@@ -183,6 +188,68 @@ def test_mackey_generator_file(tmp_path):
     )
     assert code == 0
     assert cert["pass"]
+
+
+def test_mackey_generator_file_echoes_its_group(tmp_path):
+    gen_file = tmp_path / "gens.json"
+    gen_file.write_text(json.dumps({
+        "modulus": 3,
+        "name": "GL2F3-file",
+        "generators": [[[1, 1], [0, 1]], [[0, 2], [1, 0]]],
+    }))
+    code, cert = run_inproc(
+        ["mackey-test", "--generator-file", str(gen_file), "--samples", "4"],
+        tmp_path,
+    )
+    assert code == 0
+    assert cert["inputs"]["group"] == "GL2F3-file"
+    assert cert["results"]["c_axioms"]["group"] == "GL2F3-file"
+
+
+def test_unknown_group_is_usage_error(tmp_path):
+    out = tmp_path / "x.json"
+    proc = run_cli(["mackey-test", "--group", "S5", "--out", str(out)])
+    assert proc.returncode == 2
+    assert "--group" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"modulus": 4, "generators": [[[2]]]},                    # singular
+    {"modulus": 5, "generators": [[[1, 2]]]},                 # not square
+    {"modulus": 5, "generators": [[[2]], [[1, 0], [0, 1]]]},  # sizes differ
+    {"modulus": 5, "generators": []},                         # no generator
+    {"modulus": 1, "generators": [[[1]]]},                    # modulus below 2
+    {"modulus": 5, "generators": [[[1.5]]]},                  # not an integer
+    {"modulus": 5, "generators": [1, 2]},                     # not matrices
+    {"generators": [[[1]]]},                                  # no modulus
+    {"modulus": 10007, "generators": [[[1, 1], [0, 1]]]},     # order 10007
+    {"modulus": 7, "generators": [[[1, 1], [0, 1]], [[3, 0], [0, 1]],
+                                  [[0, 1], [1, 0]]]},         # GL2(F7), order 2016
+])
+def test_bad_generator_file_is_config_error(tmp_path, spec):
+    gen_file = tmp_path / "gens.json"
+    gen_file.write_text(json.dumps(spec))
+    out = tmp_path / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamenorm.cli", "mackey-test", "--generator-file",
+         str(gen_file), "--samples", "2", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("group", CATALOG_NAMES)
+@pytest.mark.parametrize("model", ["G", "cosets", "two"])
+def test_mackey_golden_certificate(tmp_path, group, model):
+    # byte-exact certificates written by the engine on concrete tuple elements
+    out = tmp_path / "cert.json"
+    code = cli.main(["mackey-test", "--group", group, "--model", model, "--samples",
+                     str(GOLDEN_SAMPLES[group]), "--seed", "1", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"mackey_{group}_{model}.json").read_bytes()
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -25,6 +25,7 @@ from tamenorm.mackey import (
     upsilon_closure,
     fn_equal,
 )
+from tamenorm import mackey
 from tamenorm.matrices import mat_mul_modq
 
 
@@ -76,10 +77,18 @@ def test_upsilon_closure_rejects_missing_trivial():
         FiniteGroupCtx(G, [frozenset(G.elements)])
 
 
+def test_is_invariant(s3_model):
+    G, B = catalog_group("S3")
+    assert all(s3_model.is_invariant(z, B) for z in s3_model.basis(B))
+    assert s3_model.is_invariant({g: Fraction(2) for g in G.elements}, B)
+    assert not s3_model.is_invariant({G.identity: Fraction(1)}, B)
+    assert not s3_model.is_invariant({g: Fraction(g + 1) for g in G.elements}, B)
+
+
 def test_galois_axiom_s3_a3(s3_model):
     # K = S3, L = A3: index 2, composition is multiplication by 2
     G, _ = catalog_group("S3")
-    A3 = G.generate([(1, 2, 0)])
+    A3 = G.generate([G.index[(1, 2, 0)]])
     ups = upsilon_closure(G, [A3])
     F = FunctorModel(FiniteGroupCtx(G, ups), G.elements, G.mul, name="S3/G")
     cert = check_galois_axiom(F, frozenset(G.elements), A3)
@@ -95,8 +104,8 @@ def test_galois_axiom_equal_levels(s3_model):
 def test_galois_axiom_gl2f3_borel():
     G, B = catalog_group("GL2F3")
     # L = unipotent * center inside the Borel
-    U = G.generate([((1, 1), (0, 1))])
-    Z = G.generate([((2, 0), (0, 2))])
+    U = G.generate([G.index[((1, 1), (0, 1))]])
+    Z = G.generate([G.index[((2, 0), (0, 2))]])
     L = G.generate(list(U | Z))
     F = build_model("GL2F3", "G")
     assert L <= B
@@ -107,8 +116,8 @@ def test_galois_axiom_gl2f3_borel():
 
 def test_cartesian_s3_transposition_pair():
     G, _ = catalog_group("S3")
-    L = G.generate([(1, 0, 2)])   # <(12)>
-    Lp = G.generate([(2, 1, 0)])  # <(13)>
+    L = G.generate([G.index[(1, 0, 2)]])   # <(12)>
+    Lp = G.generate([G.index[(2, 1, 0)]])  # <(13)>
     F = build_model("S3", "G")
     cert = check_cartesian_axiom(F, frozenset(G.elements), L, Lp)
     assert cert["pass"]
@@ -126,7 +135,7 @@ def test_cartesian_collapses_at_equal_levels():
 def test_axiom_battery_randomized(name, which):
     F = build_model(name, which)
     G = F.group
-    rng = random.Random(hash((name, which)) & 0xFFFF)
+    rng = random.Random(f"{name}:{which}")
     cert = check_c_axioms(F, 12, rng)
     assert cert["pass"], cert
     levels = list(F.ctx.upsilon)
@@ -137,6 +146,19 @@ def test_axiom_battery_randomized(name, which):
         Lp = subs[rng.randrange(len(subs))]
         assert check_galois_axiom(F, K, L)["pass"]
         assert check_cartesian_axiom(F, K, L, Lp)["pass"]
+
+
+@pytest.mark.parametrize("name, which, seed, witness", [
+    ("S3", "G", 1, {"g": "(2, 0, 1)", "L": 2}),
+    ("D8", "two", 4, {"g": "(2, 1, 0, 3)", "L": 8}),
+    ("GL2F3", "cosets", 1, {"g": "((2, 1), (0, 1))", "L": 12}),
+])
+def test_c_axioms_witness_is_the_concrete_element(monkeypatch, name, which, seed, witness):
+    # every comparison fails, so the first sampled (C2) case is the witness
+    monkeypatch.setattr(mackey, "fn_equal", lambda f, g: False)
+    cert = check_c_axioms(mackey.catalog_model(name, which), 5, random.Random(seed))
+    assert not cert["pass"]
+    assert cert["first_failure"] == witness
 
 
 def test_hecke_identity_coset(s3_model):
@@ -158,7 +180,7 @@ def test_hecke_double_coset_dependence(s3_model):
 def test_hecke_coset_expansion():
     F = build_model("GL2F3", "G")
     G, B = catalog_group("GL2F3")
-    w = ((0, 1), (1, 0))  # Weyl representative
+    w = G.index[((0, 1), (1, 0))]  # Weyl representative
     ok, n_cosets = check_coset_expansion(F, B, B, w)
     assert ok
     assert n_cosets == len(G.double_coset(B, w, B)) // len(B)
@@ -167,7 +189,7 @@ def test_hecke_coset_expansion():
 def test_convolution_borel_weyl():
     F = build_model("GL2F3", "G")
     G, B = catalog_group("GL2F3")
-    w = ((0, 1), (1, 0))
+    w = G.index[((0, 1), (1, 0))]
     cert = check_convolution(F, B, B, B, w, w)
     assert cert["pass"], cert
 
@@ -198,7 +220,7 @@ def test_convolution_inverse_pair(s3_model):
 def test_pushforward_well_defined():
     F = build_model("S3", "G")
     G, B = catalog_group("S3")
-    A3 = G.generate([(1, 2, 0)])
+    A3 = G.generate([G.index[(1, 2, 0)]])
     x = {g: Fraction(1) for g in G.elements}  # constant function, fixed by all
     assert check_pushforward_well_defined(F, frozenset(G.elements), x,
                                           frozenset(G.elements), A3)
@@ -207,7 +229,7 @@ def test_pushforward_well_defined():
 def test_pushforward_well_defined_proper_subgroup():
     F = build_model("S4", "G")
     G, B = catalog_group("S4")
-    V = G.generate([(1, 0, 3, 2), (2, 3, 0, 1)])  # Klein four, normal in S4
+    V = G.generate([G.index[(1, 0, 3, 2)], G.index[(2, 3, 0, 1)]])  # Klein four, normal in S4
     x = {g: Fraction(1) for g in G.elements}
     assert check_pushforward_well_defined(F, B, x, frozenset(G.elements), V)
 
@@ -217,11 +239,11 @@ def test_pushforward_u_independence_three_nested_levels():
     G, B = catalog_group("S4")
     H = frozenset(G.elements)
     x = {g: Fraction(1) for g in G.elements}
-    g = (1, 2, 0, 3)
+    g = G.index[(1, 2, 0, 3)]
     K = frozenset(G.elements)
     auto = completed_pushforward(F, H, x, g, K)
     Umax = max_aux_level(F, H, x, g, K)
-    middle = G.generate([(1, 0, 2, 3)])  # order-2 subgroup strictly between
+    middle = G.generate([G.index[(1, 0, 2, 3)]])  # order-2 subgroup strictly between
     assert frozenset({G.identity}) < middle < Umax
     for U in [Umax, middle, frozenset({G.identity})]:
         got = completed_pushforward(F, H, x, g, K, U=U)
@@ -278,7 +300,7 @@ def test_finite_level_diagram():
     F = build_model("S3", "G")
     G, B = catalog_group("S3")
     H = frozenset(G.elements)
-    for g in [G.identity, (1, 2, 0), (1, 0, 2)]:
+    for g in [G.identity, G.index[(1, 2, 0)], G.index[(1, 0, 2)]]:
         K = B
         cap = G.conjugate(g, K) & H
         assert check_finite_level_diagram(F, H, cap, K, g)               # defining case
