@@ -12,9 +12,10 @@ certificate names the orientation explicitly.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .exactnum import ExactScalar
+from .fingroup import FiniteGroup
 from .matrices import hnf_rows, is_prime
 
 DEFAULT_DISC_BOUND = 10 ** 6
@@ -52,7 +53,7 @@ def _squarefree(n):
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class QuadForm:
     """A primitive positive definite binary quadratic form a x^2 + b xy + c y^2."""
 
@@ -70,12 +71,6 @@ class QuadForm:
 
     def discriminant(self):
         return self.b * self.b - 4 * self.a * self.c
-
-    def is_reduced(self):
-        a, b, c = self.a, self.b, self.c
-        if not (-a < b <= a <= c):
-            return False
-        return b >= 0 if a == c else True
 
     def inverse(self):
         if self.a == self.c or self.a == self.b or self.b == 0:
@@ -167,7 +162,7 @@ def reduced_forms(D):
                 continue
             out.append(QuadForm(a, b, c))
         a += 1
-    return sorted(out, key=QuadForm.as_tuple)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +244,13 @@ def ideal_extension_form(f, d_E, cond_big, cond_small):
 # ---------------------------------------------------------------------------
 # the class group object
 
-class FormClassGroup:
-    """Pic(O_m) for an imaginary quadratic order, as reduced forms."""
+class FormClassGroup(FiniteGroup):
+    """Pic(O_m) for an imaginary quadratic order, on its reduced forms.
+
+    The classes are the reduced forms in (a, b, c) order: `labels[i]` is the
+    form of class i, `index` maps a reduced form to its class, and the group
+    law is a lookup in the Cayley table of Gauss composition.
+    """
 
     def __init__(self, d_E, conductor, disc_bound=DEFAULT_DISC_BOUND):
         if not is_fundamental_discriminant(d_E):
@@ -263,121 +263,63 @@ class FormClassGroup:
         self.d_E = d_E
         self.conductor = conductor
         self.discriminant = D
-        self.forms = reduced_forms(D)
-        self.index = {f: i for i, f in enumerate(self.forms)}
-        self.identity = self.index[principal_form(D)]
+        super().__init__(reduced_forms(D), compose, QuadForm.inverse, principal_form(D),
+                         f"Pic(D={D})")
 
     @property
     def order(self):
-        return len(self.forms)
-
-    def compose_idx(self, i, j):
-        return self.index[compose(self.forms[i], self.forms[j])]
-
-    def inverse_idx(self, i):
-        return self.index[self.forms[i].inverse()]
-
-    def power_idx(self, i, e):
-        out = self.identity
-        cur = i
-        e = int(e)
-        if e < 0:
-            cur = self.inverse_idx(i)
-            e = -e
-        while e:
-            if e & 1:
-                out = self.compose_idx(out, cur)
-            e >>= 1
-            if e:
-                cur = self.compose_idx(cur, cur)
-        return out
+        return len(self)
 
     def element_order(self, i):
         k = 1
         cur = i
         while cur != self.identity:
-            cur = self.compose_idx(cur, i)
+            cur = self.table[cur][i]
             k += 1
         return k
 
     @property
     def exponent(self):
-        out = 1
-        for i in range(self.order):
-            o = self.element_order(i)
-            out = out * o // gcd(out, o)
-        return out
+        return lcm(*(self.element_order(i) for i in self.elements))
 
     def class_number_formula_certificate(self):
         """h(O_m) = h(d_E) m prod_{p | m} (1 - (d_E|p)/p) / [O_E^* : O_m^*]."""
-        m = self.conductor
-        h_fund = len(reduced_forms(self.d_E))
-        num = h_fund * m
-        den = 1
-        mm = m
-        p = 2
-        while mm > 1:
-            if mm % p == 0:
-                num *= p - kronecker(self.d_E, p)
-                den *= p
-                while mm % p == 0:
-                    mm //= p
-            p += 1
-        if m > 1:
-            unit_index = 3 if self.d_E == -3 else (2 if self.d_E == -4 else 1)
-            den *= unit_index
+        num, den = _class_number_formula(self.d_E, self.conductor,
+                                         len(reduced_forms(self.d_E)))
         expected, rem = divmod(num, den)
-        ok = rem == 0 and expected == self.order
         return {
             "identity": "class_number_formula",
-            "d_E": self.d_E, "conductor": m, "discriminant": self.discriminant,
+            "d_E": self.d_E, "conductor": self.conductor,
+            "discriminant": self.discriminant,
             "enumerated": self.order, "formula": expected if rem == 0 else f"{num}/{den}",
-            "pass": ok,
+            "pass": rem == 0 and expected == self.order,
         }
 
-    def cyclic_decomposition(self):
-        """Generators (index, order) with the group an internal direct product."""
-        gens = []
-        span = {self.identity}
-        remaining = set(range(self.order)) - span
-        while remaining:
-            best = max(remaining, key=self.element_order)
-            # adjust so the new generator meets the current span trivially
-            o = self.element_order(best)
-            cur = best
-            while True:
-                powers = {self.power_idx(cur, e) for e in range(self.element_order(cur))}
-                if powers & span == {self.identity}:
-                    break
-                # replace by a multiple falling outside; brute search is fine here
-                done = False
-                for cand in sorted(remaining):
-                    p_set = {self.power_idx(cand, e) for e in range(self.element_order(cand))}
-                    if p_set & span == {self.identity} and self.element_order(cand) > 1:
-                        cur = cand
-                        done = True
-                        break
-                if not done:
-                    raise ArithmeticError("no complementary generator found")
-                break
-            gens.append((cur, self.element_order(cur)))
-            new_span = set()
-            for s in span:
-                x = s
-                for _ in range(self.element_order(cur)):
-                    new_span.add(x)
-                    x = self.compose_idx(x, cur)
-            span = new_span
-            remaining = set(range(self.order)) - span
-        total = 1
-        for _, o in gens:
-            total *= o
-        if total != self.order:
-            raise ArithmeticError("cyclic decomposition failed to fill the group")
-        return gens
-
     def structure(self):
-        return sorted((o for _, o in self.cyclic_decomposition()), reverse=True)
+        """The invariant factors d_1, d_2, ... with d_(i+1) | d_i ([] if trivial).
+
+        For each prime p | h the counts n_j = #{x : x^(p^j) = 1} give the
+        number of cyclic p-factors of order >= p^j as log_p(n_j / n_(j-1)).
+        """
+        orders = [self.element_order(i) for i in self.elements]
+        factors = []
+        for p in _prime_divisors(self.order):
+            ranks = []  # ranks[j - 1] = number of cyclic p-factors of order >= p^j
+            below, q = 1, p
+            while True:
+                n = sum(1 for o in orders if q % o == 0)
+                if n == below:
+                    break
+                r, ratio = 0, n // below
+                while ratio > 1:
+                    ratio //= p
+                    r += 1
+                ranks.append(r)
+                below, q = n, q * p
+            factors += [1] * (ranks[0] - len(factors))
+            for i in range(ranks[0]):
+                factors[i] *= p ** sum(1 for r in ranks if r > i)
+        return factors
 
     def to_json_dict(self):
         return {
@@ -385,11 +327,33 @@ class FormClassGroup:
             "conductor": self.conductor,
             "discriminant": self.discriminant,
             "order": self.order,
-            "forms": [list(f.as_tuple()) for f in self.forms],
+            "forms": [list(f.as_tuple()) for f in self.labels],
             "structure": self.structure(),
             "class_number_certificate": self.class_number_formula_certificate(),
             "frobenius_orientation": "prime form = Art0(ell) = geometric Frobenius",
         }
+
+
+def _prime_divisors(n):
+    out, p = [], 2
+    while n > 1:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out
+
+
+def _class_number_formula(d_E, m, h_fund):
+    """(num, den) with h(d_E m^2) = num / den by the class-number formula."""
+    num, den = h_fund * m, 1
+    for p in _prime_divisors(m):
+        num *= p - kronecker(d_E, p)
+        den *= p
+    if m > 1:
+        den *= 3 if d_E == -3 else (2 if d_E == -4 else 1)
+    return num, den
 
 
 def ring_class_group(d_E, m, disc_bound=DEFAULT_DISC_BOUND):
@@ -431,14 +395,14 @@ def norm_map(cl_big, cl_small):
     ):
         raise ValueError("conductors must differ by one prime")
     mapping = []
-    for f in cl_big.forms:
+    for f in cl_big.labels:
         img = ideal_extension_form(f, cl_big.d_E, cl_big.conductor, cl_small.conductor)
         mapping.append(cl_small.index[img])
+    big, small = cl_big.table, cl_small.table
     hom = all(
-        mapping[cl_big.compose_idx(i, j)]
-        == cl_small.compose_idx(mapping[i], mapping[j])
-        for i in range(cl_big.order)
-        for j in range(cl_big.order)
+        mapping[big[i][j]] == small[mapping[i]][mapping[j]]
+        for i in cl_big.elements
+        for j in cl_big.elements
     )
     surjective = set(mapping) == set(range(cl_small.order))
     kernel = [i for i in range(cl_big.order) if mapping[i] == cl_small.identity]
@@ -517,20 +481,8 @@ def character_group(cl, ell=2):
     |cl| (duality), and orthogonality is verified exactly in the scalar ring.
     """
     k = cl.exponent
-    gens = []
-    span = {cl.identity}
-    for i in range(cl.order):
-        if i not in span:
-            gens.append(i)
-            new = set()
-            frontier = set(span)
-            while frontier:
-                x = frontier.pop()
-                new.add(x)
-                y = cl.compose_idx(x, i)
-                if y not in new:
-                    frontier.add(y)
-            span = new
+    gens = cl.generators()
+    table = cl.table
     chars = []
     from itertools import product as iproduct
 
@@ -541,7 +493,7 @@ def character_group(cl, ell=2):
         while frontier and ok:
             x = frontier.pop()
             for g, a in zip(gens, assignment):
-                y = cl.compose_idx(x, g)
+                y = table[x][g]
                 e = (exps[x] + a) % k
                 if y in exps:
                     if exps[y] != e:
@@ -606,22 +558,9 @@ def class_number_formula_sweep(bound):
             h_fund = table.get(d, 0)
             m = 1
             while -d * m * m <= bound:
-                D = d * m * m
-                num = h_fund * m
-                den = 1
-                mm = m
-                p = 2
-                while mm > 1:
-                    if mm % p == 0:
-                        num *= p - kronecker(d, p)
-                        den *= p
-                        while mm % p == 0:
-                            mm //= p
-                    p += 1
-                if m > 1:
-                    den *= 3 if d == -3 else (2 if d == -4 else 1)
+                num, den = _class_number_formula(d, m, h_fund)
                 expected, rem = divmod(num, den)
-                got = table.get(D, 0)
+                got = table.get(d * m * m, 0)
                 if rem != 0 or expected != got:
                     failures.append({"d_E": d, "m": m, "enumerated": got,
                                      "formula": f"{num}/{den}"})

@@ -302,21 +302,6 @@ def run_tower(cfg):
     )
 
 
-def _phi_identity_rows(ctx, b):
-    """Re-evaluate the r-indexed phi identity against a candidate b vector."""
-    n, ell = ctx.n, ctx.ell
-    table = qcomb.b_coefficients(ctx.qctx)
-    lam, c = table.lam, table.c
-    rows = []
-    for r in range(n + 1):
-        lhs = (ell ** (n * n) if r == 0 else 0) - sum(
-            ell ** (n * (n - m)) * lam[m - 1] * c[m][r] for m in range(max(r, 1), n + 1)
-        )
-        rows.append({"r": r, "lhs": lhs, "rhs": (ell - 1) * b[r],
-                     "pass": lhs == (ell - 1) * b[r]})
-    return rows
-
-
 def run_norm_relation(cfg):
     """The end-to-end tame-norm-relation certificate.
 
@@ -353,7 +338,7 @@ def run_norm_relation(cfg):
     if cfg.perturb_b1:
         b_perturbed = list(table.b)
         b_perturbed[min(1, n)] += 1
-        rows = _phi_identity_rows(ctx, b_perturbed)
+        rows = hecke.phi_identity_rows(ctx, table, b_perturbed)
         phi_cert = {
             "identity": "phi_assembly",
             "perturbed": "b_1 + 1",

@@ -298,8 +298,10 @@ def _verify_reduction(X, U, V, r, m, ctx):
     the integer lift of V, and the product k = (g_r,1)^{-1} h^{-1} g_X with
     h^{-1} = diag(A t_m^{-1}, B) must land in K.  ell (g_r,1)^{-1} and
     ell h^{-1} are integer matrices, so k lies in GL_2n(Z_ell) iff ell^2
-    divides every entry of the integer matrix ell^2 k and v_ell(det(ell^2 k))
-    = 4n.  The twist of k is twist(g_X) ell^m det B / det A, an ell-unit.
+    divides every entry of the integer matrix ell^2 k and det k is an
+    ell-unit.  As g_r is unipotent, det h^{-1} = det A ell^{-m} det B and
+    det g_X = ell^m, det k = det A det B: a unit iff det A and det B are.
+    The twist of k is twist(g_X) ell^m det B / det A, an ell-unit.
     """
     n, ell = ctx.n, ctx.ell
     size = 2 * n
@@ -321,13 +323,8 @@ def _verify_reduction(X, U, V, r, m, ctx):
     ell2 = ell * ell
     if any(x % ell2 for row in k_mat for x in row):
         return False
-    det = mat_det(k_mat)
-    if det == 0 or v_ell(det, ell) != 2 * size:
-        return False
-    detA = mat_det(A)
-    detB = mat_det(B)
-    return (detA != 0 and detB != 0
-            and twist_exp + m + v_ell(detB, ell) - v_ell(detA, ell) == 0)
+    # det A and det B are ell-units, so the twist exponent is twist_exp + m
+    return mat_det(A) % ell != 0 and mat_det(B) % ell != 0 and twist_exp + m == 0
 
 
 def _mul_sparse(A, B):
@@ -345,6 +342,24 @@ def _mul_sparse(A, B):
 # ---------------------------------------------------------------------------
 # phi assembly
 
+def phi_identity_rows(ctx, table, b):
+    """The r-indexed phi identity for a b vector, one row per 0 <= r <= n.
+
+    `table` supplies lambda and the rank counts c; b is table.b itself or a
+    perturbed copy (the negative control).
+    """
+    n, ell = ctx.n, ctx.ell
+    lam, c = table.lam, table.c
+    rows = []
+    for r in range(n + 1):
+        lhs = (ell ** (n * n) if r == 0 else 0) - sum(
+            ell ** (n * (n - m)) * lam[m - 1] * c[m][r] for m in range(max(r, 1), n + 1)
+        )
+        rhs = (ell - 1) * b[r]
+        rows.append({"r": r, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
+    return rows
+
+
 def assemble_phi(ctx):
     """phi = sum_r b_r ch((g_r, 1) K) plus the r-indexed integer identity.
 
@@ -354,16 +369,9 @@ def assemble_phi(ctx):
     """
     n, ell = ctx.n, ctx.ell
     table = qcomb.b_coefficients(ctx.qctx)
-    lam, c, b = table.lam, table.c, table.b
-    rows = []
-    ok_all = table.certificates["all_b_integral"]
-    for r in range(n + 1):
-        lhs = (ell ** (n * n) if r == 0 else 0) - sum(
-            ell ** (n * (n - m)) * lam[m - 1] * c[m][r] for m in range(max(r, 1), n + 1)
-        )
-        rhs = (ell - 1) * b[r]
-        rows.append({"r": r, "lhs": lhs, "rhs": rhs, "pass": lhs == rhs})
-        ok_all = ok_all and lhs == rhs
+    lam, b = table.lam, table.b
+    rows = phi_identity_rows(ctx, table, b)
+    ok_all = table.certificates["all_b_integral"] and all(row["pass"] for row in rows)
     phi = CosetSum(ell, [(b[r], g_r_element(r, ctx)) for r in range(n + 1)])
     cert = {
         "identity": "phi_assembly", "n": n, "ell": ell,

@@ -175,7 +175,7 @@ def tame_factor(sp, chi):
     return scale * local_l_inverse(sp, chi.chi_ell)
 
 
-def tame_group_algebra_check(cl, sp, ell, include_arithmetic=True):
+def tame_group_algebra_check(cl, sp, ell):
     """The group-algebra form of the tame relation over Pic(O_m).
 
     Builds P(Fr) in Q(sqrt ell, zeta)[cl] at the GEOMETRIC Frobenius class
@@ -213,6 +213,9 @@ def tame_group_algebra_check(cl, sp, ell, include_arithmetic=True):
 
     # Fourier inversion: sum_chi eig_chi e_chi must reconstruct P([Fr])
     order = cl.order
+    fr_powers = [cl.identity]
+    for _ in P.coeffs[1:]:
+        fr_powers.append(cl.mul(fr_powers[-1], fr_idx))
     recon_ok = True
     for h in range(order):
         acc = ExactScalar.zero(ell)
@@ -220,8 +223,8 @@ def tame_group_algebra_check(cl, sp, ell, include_arithmetic=True):
             acc = acc + eig * chi.value(h, ell).conj()
         acc = acc * ExactScalar.from_rational(Fraction(1, order), ell)
         direct = ExactScalar.zero(ell)
-        for j, coeff in enumerate(P.coeffs):
-            if cl.power_idx(fr_idx, j) == h:
+        for power, coeff in zip(fr_powers, P.coeffs):
+            if power == h:
                 direct = direct + coeff
         if acc != direct:
             recon_ok = False

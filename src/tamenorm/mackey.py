@@ -25,22 +25,18 @@ from .matrices import is_prime, mat_mul_modq, mat_pow_modq
 # (G, Sigma, Upsilon) contexts
 
 class FiniteGroupCtx:
-    """A finite (G, Sigma, Upsilon) triple with the closure conditions checked.
+    """A finite (G, Sigma, Upsilon) triple with Sigma = G and the closure
+    conditions on Upsilon checked (the profinite asymmetry between Sigma and
+    G only matters p-adically)."""
 
-    Sigma defaults to all of G (the profinite asymmetry only matters p-adically)
-    but sub-monoid instances are accepted and validated the same way.
-    """
-
-    def __init__(self, group: FiniteGroup, upsilon, sigma=None):
+    def __init__(self, group: FiniteGroup, upsilon):
         self.group = group
-        self.sigma = frozenset(sigma) if sigma is not None else frozenset(group.elements)
         self.upsilon = tuple(frozenset(K) for K in upsilon)
         self._levels = frozenset(self.upsilon)
         self._validate()
 
     def _validate(self):
         G = self.group
-        table = G.table
         ups = self._levels
         if frozenset({G.identity}) not in ups:
             raise ValueError("Upsilon must contain the trivial subgroup "
@@ -48,18 +44,10 @@ class FiniteGroupCtx:
         for K in ups:
             if not G.is_subgroup(K):
                 raise ValueError("Upsilon member is not a subgroup")
-            if not K <= self.sigma:
-                raise ValueError("Upsilon member not contained in Sigma")
-        if self.sigma != frozenset(G.elements):
-            for s in self.sigma:
-                if any(table[s][t] not in self.sigma for t in self.sigma):
-                    raise ValueError("Sigma is not a submonoid")
-        symm = self.sigma | frozenset(G.inverse[s] for s in self.sigma)
-        conjugates = {K: {G.conjugate(g, K) for g in symm} for K in ups}
+        conjugates = {K: {G.conjugate(g, K) for g in G.elements} for K in ups}
         for K in ups:
-            for Kg in conjugates[K]:
-                if Kg <= self.sigma and Kg not in ups:
-                    raise ValueError("Upsilon not closed under Sigma-conjugation")
+            if not conjugates[K] <= ups:
+                raise ValueError("Upsilon not closed under Sigma-conjugation")
         for K in ups:
             for L in ups:
                 for Lg in conjugates[L]:
@@ -70,10 +58,8 @@ class FiniteGroupCtx:
         return frozenset(K) in self._levels
 
 
-def upsilon_closure(group: FiniteGroup, seeds, sigma=None):
+def upsilon_closure(group: FiniteGroup, seeds):
     """Close a seed family under conjugation and twisted intersections."""
-    symm = frozenset(sigma) if sigma is not None else frozenset(group.elements)
-    symm = symm | frozenset(group.inverse[s] for s in symm)
     fam = {frozenset({group.identity}), frozenset(group.elements)}
     fam.update(frozenset(K) for K in seeds)
     changed = True
@@ -81,7 +67,7 @@ def upsilon_closure(group: FiniteGroup, seeds, sigma=None):
         changed = False
         current = list(fam)
         for K in current:
-            for g in symm:
+            for g in group.elements:
                 Kg = group.conjugate(g, K)
                 if Kg not in fam:
                     fam.add(Kg)
@@ -647,41 +633,43 @@ def _projector_certs(A, e, p, N, W):
     return certs
 
 
-def ordinary_projector(pe: PadicEndo):
-    """The idempotent e = lim_k A^{k!} over Z/p^N, with certificates.
+def _stabilize(A, B, W, p, N):
+    """Iterate B -> B^(k+1), W -> W^(k+1) A^k for k = 1, 2, ... up to the bound.
 
-    Iterates B_{k+1} = B_k^{k+1} (so B_k = A^{k!}) and stops at the first
-    B_k = B_{k+1} for which all idempotency certificates hold; a transient
-    equality that is not yet the limit fails the certificates and the
-    iteration continues.  W_k = A^{k!-1} is carried along as the explicit
-    inverse witness on the image.
+    With B = A^e and W = A^(e-1) at k = 1, B stays A^(e k!) and W stays
+    A^(e k! - 1), since (e k! - 1)(k + 1) + k = e (k+1)! - 1.  Returns
+    (B, k, certs) at the first B = B^(k+1) whose idempotency certificates
+    all hold (a transient equality that is not yet the limit fails them and
+    the iteration continues), or k = None past the bound.
     """
-    p, N = pe.p, pe.N
-    A = pe.mat
-    d = pe.d
     q = p ** N
-    bound = _exponent_iteration_bound(p, N, d)
-    B = A  # A^{1!}
-    W = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))  # A^{1!-1}
-    k = 1
-    while k <= bound:
+    bound = _exponent_iteration_bound(p, N, len(A))
+    for k in range(1, bound + 1):
         B_next = mat_pow_modq(B, k + 1, q)
-        # (k+1)! - 1 = (k! - 1)(k+1) + k
-        W_next = mat_mul_modq(mat_pow_modq(W, k + 1, q), mat_pow_modq(A, k, q), q)
         if B_next == B:
             certs = _projector_certs(A, B, p, N, W)
             if all(certs[key] for key in
                    ("idempotent", "commutes", "invertible_on_image",
                     "nilpotent_on_complement")):
-                certs.update({"stabilized_at": k, "pass": True, "p": p, "N": N, "d": d})
-                return B, certs
-        B, W = B_next, W_next
-        k += 1
-    # cannot happen for k <= bound by the exponent estimate; reported defensively
-    certs = _projector_certs(A, B, p, N, W)
-    certs.update({"stabilized_at": None, "pass": False, "p": p, "N": N, "d": d,
-                  "first_failure": {"reason": "no certified stabilization within bound",
-                                    "bound": bound}})
+                return B, k, certs
+        B, W = B_next, mat_mul_modq(mat_pow_modq(W, k + 1, q), mat_pow_modq(A, k, q), q)
+    return B, None, _projector_certs(A, B, p, N, W)
+
+
+def ordinary_projector(pe: PadicEndo):
+    """The idempotent e = lim_k A^{k!} over Z/p^N, with certificates.
+
+    Stabilizes B_k = A^{k!} (see `_stabilize`), carrying W_k = A^{k!-1} along
+    as the explicit inverse witness on the image.
+    """
+    p, N, d = pe.p, pe.N, pe.d
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    B, k, certs = _stabilize(pe.mat, pe.mat, identity, p, N)
+    certs.update({"stabilized_at": k, "pass": k is not None, "p": p, "N": N, "d": d})
+    if k is None:
+        # cannot happen for k <= bound by the exponent estimate; reported defensively
+        certs["first_failure"] = {"reason": "no certified stabilization within bound",
+                                  "bound": _exponent_iteration_bound(p, N, d)}
     return B, certs
 
 
@@ -692,26 +680,11 @@ def ordinary_projector_perturbed_route(pe: PadicEndo, multiplier=2):
     disagreement with `ordinary_projector` would expose an iteration-order
     dependence.
     """
-    p, N = pe.p, pe.N
-    A = pe.mat
-    d = pe.d
-    q = p ** N
     c = multiplier
     if c < 1:
         raise ValueError("multiplier must be >= 1")
-    bound = _exponent_iteration_bound(p, N, d)
-    B = mat_pow_modq(A, c, q)            # A^{c 1!}
-    W = mat_pow_modq(A, c - 1, q)        # A^{c 1! - 1}
-    k = 1
-    while k <= bound:
-        B_next = mat_pow_modq(B, k + 1, q)
-        W_next = mat_mul_modq(mat_pow_modq(W, k + 1, q), mat_pow_modq(A, k, q), q)
-        if B_next == B:
-            certs = _projector_certs(A, B, p, N, W)
-            if all(certs[key] for key in
-                   ("idempotent", "commutes", "invertible_on_image",
-                    "nilpotent_on_complement")):
-                return B, {"stabilized_at": k, "pass": True}
-        B, W = B_next, W_next
-        k += 1
-    return B, {"stabilized_at": None, "pass": False}
+    q = pe.p ** pe.N
+    A = pe.mat
+    B, k, _certs = _stabilize(A, mat_pow_modq(A, c, q), mat_pow_modq(A, c - 1, q),
+                              pe.p, pe.N)
+    return B, {"stabilized_at": k, "pass": k is not None}

@@ -55,10 +55,6 @@ def mat_mul(A, B):
     )
 
 
-def mat_identity(n, one=1):
-    return tuple(tuple(one if i == j else one * 0 for j in range(n)) for i in range(n))
-
-
 def mat_inv(A):
     """Inverse of a square matrix, computed over Q.  Raises on singular input."""
     n = len(A)
@@ -217,10 +213,6 @@ def smith_ell_exponents(M, ell):
 
 # ---------------------------------------------------------------------------
 # matrices over F_p
-
-def mat_mod(A, p):
-    return tuple(tuple(x % p for x in row) for row in A)
-
 
 def rref_mod(rows, p):
     """Reduced row echelon form over F_p; zero rows dropped.

@@ -410,6 +410,20 @@ def ref_join(L1, L2):
 
 def ref_verify_reduction(X, U, V, r, m, ctx):
     """The U_m witness check over Q: k = (g_r,1)^{-1} h^{-1} g_X lies in K."""
+    ell = ctx.ell
+    k_mat, A, B, gX = ref_reduction_element(X, U, V, r, m, ctx)
+    if not (hecke._mat_ell_integral(k_mat, ell) and hecke._det_val_zero(k_mat, ell)):
+        return False
+    detA = hecke._det_fraction(A)
+    detB = hecke._det_fraction(B)
+    if detA == 0 or detB == 0:
+        return False
+    twist_k = gX.twist * (ell ** m) * detB / detA
+    return v_ell(twist_k, ell) == 0
+
+
+def ref_reduction_element(X, U, V, r, m, ctx):
+    """(k, A, B, g_X) over Q with k = (g_r,1)^{-1} h^{-1} g_X the U_m witness."""
     n, ell = ctx.n, ctx.ell
     A = [[U[i][j] if (i < m and j < m) else int(i == j) for j in range(n)] for i in range(n)]
     B = inv_mod_matrix(V, ell)
@@ -426,15 +440,7 @@ def ref_verify_reduction(X, U, V, r, m, ctx):
             if Xr[i][j]:
                 g_r_inv[i][n + j] = Fraction(-1, ell)
     gX = hecke._um_summand(X, m, ctx)
-    k_mat = mat_mul(g_r_inv, mat_mul(h_inv, gX.mat))
-    if not (hecke._mat_ell_integral(k_mat, ell) and hecke._det_val_zero(k_mat, ell)):
-        return False
-    detA = hecke._det_fraction(A)
-    detB = hecke._det_fraction(B)
-    if detA == 0 or detB == 0:
-        return False
-    twist_k = gX.twist * (ell ** m) * detB / detA
-    return v_ell(twist_k, ell) == 0
+    return mat_mul(g_r_inv, mat_mul(h_inv, gX.mat)), A, B, gX
 
 
 # ---------------------------------------------------------------------------

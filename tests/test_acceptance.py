@@ -215,7 +215,7 @@ def test_criterion_11_class_field_data():
     ok = sweep["pass"]
     cl = classfield.ring_class_group(-4, 5)
     ok = ok and cl.order == 2
-    ok = ok and {f.as_tuple() for f in cl.forms} == {(1, 0, 25), (2, 2, 13)}
+    ok = ok and {f.as_tuple() for f in cl.labels} == {(1, 0, 25), (2, 2, 13)}
     towers = [
         (-4, 1, 5), (-4, 1, 13), (-4, 1, 29), (-4, 1, 37), (-4, 3, 5),
         (-4, 5, 13), (-3, 1, 7), (-3, 1, 13), (-3, 2, 7), (-3, 1, 19),

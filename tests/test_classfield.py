@@ -1,4 +1,5 @@
 import random
+from math import gcd, prod
 
 import pytest
 
@@ -119,7 +120,7 @@ def test_ring_class_group_examples():
     assert ring_class_group(-4, 1).order == 1
     cl = ring_class_group(-4, 5)
     assert cl.order == 2
-    assert {f.as_tuple() for f in cl.forms} == {(1, 0, 25), (2, 2, 13)}
+    assert {f.as_tuple() for f in cl.labels} == {(1, 0, 25), (2, 2, 13)}
     assert cl.class_number_formula_certificate()["pass"]
     assert ring_class_group(-3, 2).order == 1
 
@@ -234,7 +235,7 @@ def test_frobenius_functorial_under_norm():
     for q in (13, 29, 37):
         fb = frobenius_class(big, q)
         fs = frobenius_class(small, q)
-        assert small.forms[mapping[big.index[fb]]] == fs
+        assert small.labels[mapping[big.index[fb]]] == fs
 
 
 def test_character_group_trivial():
@@ -289,3 +290,48 @@ def test_structure_and_json():
     assert d["order"] == 2
     assert d["structure"] == [2]
     assert "geometric Frobenius" in d["frobenius_orientation"]
+
+
+def _oracle_orders(cl):
+    """Order of every class, from powers taken by ideal multiplication.
+
+    Walking the powers f, f^2, ..., f^o = 1 of one form also gives the order
+    o / gcd(j, o) of each power f^j, so each cyclic subgroup is walked once.
+    """
+    e = principal_form(cl.discriminant)
+    orders = {}
+    for f in cl.labels:
+        if f in orders:
+            continue
+        powers = [f]
+        while powers[-1] != e:
+            powers.append(ideal_product_form(powers[-1], f, cl.d_E, cl.conductor))
+        o = len(powers)
+        for j, g in enumerate(powers, 1):
+            orders[g] = o // gcd(j, o)
+    return [orders[f] for f in cl.labels]
+
+
+def test_structure_counts_match_ideal_oracle():
+    # #{x : x^k = 1} = prod gcd(k, d_i) for every k | h pins the invariant
+    # factors d_i down; checked on every ring class group with |D| <= 5000
+    groups = 0
+    for d_E in range(-3, -5001, -1):
+        if not is_fundamental_discriminant(d_E):
+            continue
+        m = 1
+        while -d_E * m * m <= 5000:
+            cl = ring_class_group(d_E, m)
+            structure = cl.structure()
+            h = cl.order
+            assert all(d > 1 for d in structure)
+            assert all(a % b == 0 for a, b in zip(structure, structure[1:]))
+            assert prod(structure) == h
+            orders = _oracle_orders(cl)
+            for k in range(1, h + 1):
+                if h % k == 0:
+                    count = sum(1 for o in orders if k % o == 0)
+                    assert count == prod(gcd(k, d) for d in structure), (d_E, m, k)
+            groups += 1
+            m += 1
+    assert groups > 1500

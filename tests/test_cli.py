@@ -149,6 +149,27 @@ def test_classgroup_command(tmp_path):
     assert sorted(map(tuple, cert["results"]["forms"])) == [(1, 0, 25), (2, 2, 13)]
 
 
+@pytest.mark.parametrize("disc,conductor,structure", [
+    (-68, 8, [8, 4]),
+    (-884, 2, [8, 4]),
+    (-84, 9, [6, 6]),
+])
+def test_classgroup_structure_is_invariant_factors(tmp_path, disc, conductor, structure):
+    code, cert = run_inproc(["classgroup", "--disc", str(disc), "--conductor",
+                             str(conductor)], tmp_path)
+    assert code == 0
+    assert cert["results"]["structure"] == structure
+
+
+def test_classgroup_above_order_cap_is_config_error(tmp_path, capsys):
+    # h(-997751) = 1783 > fingroup.MAX_ORDER, within the |D| <= 10^6 bound
+    out = tmp_path / "x.json"
+    code = cli.main(["classgroup", "--disc", "-997751", "--out", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tower_command(tmp_path):
     code, cert = run_inproc(["tower", "--disc", "-4", "--m", "1", "--ell", "5"], tmp_path)
     assert code == 0
@@ -250,6 +271,28 @@ def test_mackey_golden_certificate(tmp_path, group, model):
                      str(GOLDEN_SAMPLES[group]), "--seed", "1", "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / f"mackey_{group}_{model}.json").read_bytes()
+
+
+README_COMMANDS = {
+    "coeffs": ["coeffs", "--n", "2", "--ell", "2"],
+    "verify-incl-excl": ["verify-incl-excl", "--n", "3", "--ell", "3", "--depth", "2"],
+    "mackey-test": ["mackey-test", "--group", "GL2F3", "--model", "cosets",
+                    "--samples", "50", "--seed", "1"],
+    "lfactor": ["lfactor", "--n", "1", "--ell", "5", "--alpha", "0:1", "1:2",
+                "--chi-order", "2"],
+    "classgroup": ["classgroup", "--disc", "-4", "--conductor", "5"],
+    "tower": ["tower", "--disc", "-4", "--m", "1", "--ell", "5"],
+    "norm-relation": ["norm-relation", "--n", "1", "--ell", "5", "--disc", "-4",
+                      "--conductor", "1", "--alpha", "0:1", "0:1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_golden_certificate(tmp_path, name):
+    # the README's example commands, byte for byte against stored certificates
+    out = tmp_path / "cert.json"
+    assert cli.main([*README_COMMANDS[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"readme_{name}.json").read_bytes()
 
 
 def test_determinism_byte_identical(tmp_path):

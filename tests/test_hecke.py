@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from oracles import ref_verify_reduction
+from oracles import ref_reduction_element, ref_verify_reduction
 from tamenorm import hecke
 from tamenorm.hecke import (
     CosetSum,
@@ -19,7 +19,7 @@ from tamenorm.hecke import (
     same_coset,
     um_cosets,
 )
-from tamenorm.matrices import all_matrices_mod, rank_mod, smith_witness_mod
+from tamenorm.matrices import all_matrices_mod, mat_det, rank_mod, smith_witness_mod
 from tamenorm.qcomb import QCombContext, lambda_coefficients, rank_count
 
 # (n, ell, m) with ell^(mn) <= 81: every U_m summand is checked against the
@@ -313,6 +313,26 @@ def test_coset_check_matches_fraction_oracle(n, ell, m):
     for X, U, V, r in _witnesses(n, ell, m):
         assert hecke._verify_reduction(X, U, V, r, m, ctx)
         assert ref_verify_reduction(X, U, V, r, m, ctx), X
+
+
+@pytest.mark.parametrize("n,ell,m", COSET_CELLS)
+def test_coset_witness_determinant_identity(n, ell, m):
+    # det k = det A det B: g_r is unipotent, det h^{-1} = det A ell^{-m} det B
+    # and det g_X = ell^m, so the coset check needs only det A and det B
+    ctx = HeckeContext(n, ell)
+    for X, U, V, r in _witnesses(n, ell, m):
+        k_mat, A, B, _gX = ref_reduction_element(X, U, V, r, m, ctx)
+        assert hecke._det_fraction(k_mat) == mat_det(A) * mat_det(B), X
+
+
+@pytest.mark.parametrize("n,ell,m", COSET_CELLS)
+def test_coset_check_rejects_singular_witness(n, ell, m):
+    # with U = 0 the element k is still integral at X = 0, but det A = 0
+    ctx = HeckeContext(n, ell)
+    U0 = [[0] * m for _ in range(m)]
+    for X, _U, V, r in _witnesses(n, ell, m):
+        assert not hecke._verify_reduction(X, U0, V, r, m, ctx), X
+        assert not ref_verify_reduction(X, U0, V, r, m, ctx), X
 
 
 @pytest.mark.parametrize("n,ell,m", COSET_CELLS)

@@ -77,6 +77,15 @@ def test_upsilon_closure_rejects_missing_trivial():
         FiniteGroupCtx(G, [frozenset(G.elements)])
 
 
+def test_upsilon_rejects_missing_conjugate():
+    # <(12)> meets each of its conjugates trivially, so the twisted
+    # intersections stay inside {1, <(12)>} and only the conjugation check
+    # sees that <(13)> and <(23)> are missing
+    G, B = catalog_group("S3")
+    with pytest.raises(ValueError, match="conjugation"):
+        FiniteGroupCtx(G, [frozenset({G.identity}), B])
+
+
 def test_is_invariant(s3_model):
     G, B = catalog_group("S3")
     assert all(s3_model.is_invariant(z, B) for z in s3_model.basis(B))
@@ -368,23 +377,40 @@ def test_ordinary_projector_uniqueness_via_perturbed_route():
         assert e1 == e2
 
 
+# companion matrix of x^6 + x^3 + 1 (divides x^9 - 1) over F_2
+ORDER_9_UNIT = (
+    (0, 0, 0, 0, 0, 1),
+    (1, 0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0, 1),
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 1, 0),
+)
+
+
 def test_ordinary_projector_transient_equality_is_gated():
     # A companion-type unit of multiplicative order 9 over F_2 (in GL_6(F_2)
     # via F_64) exhibits A^{3!} = A^{4!} transiently; the gated stop rule must
     # push past it and land on the true idempotent (the identity here).
     p, N = 2, 1
-    # companion matrix of x^6 + x^3 + 1 (divides x^9 - 1) over F_2
-    A = (
-        (0, 0, 0, 0, 0, 1),
-        (1, 0, 0, 0, 0, 0),
-        (0, 1, 0, 0, 0, 1),
-        (0, 0, 1, 0, 0, 0),
-        (0, 0, 0, 1, 0, 0),
-        (0, 0, 0, 0, 1, 0),
-    )
+    A = ORDER_9_UNIT
     e, cert = ordinary_projector(PadicEndo(p, N, A))
     assert cert["pass"]
     assert e == tuple(tuple(int(i == j) for j in range(6)) for i in range(6))
+
+
+def test_ordinary_projector_reports_exhausted_bound(monkeypatch):
+    # with the bound cut to 3 the order-9 unit above meets only its transient
+    # equality A^{3!} = A^{4!}: both routes must report failure, not pass
+    A = ORDER_9_UNIT
+    monkeypatch.setattr(mackey, "_exponent_iteration_bound", lambda p, N, d: 3)
+    e, cert = ordinary_projector(PadicEndo(2, 1, A))
+    assert not cert["pass"] and cert["stabilized_at"] is None
+    assert cert["first_failure"] == {"reason": "no certified stabilization within bound",
+                                     "bound": 3}
+    assert not cert["idempotent"]
+    e2, cert2 = ordinary_projector_perturbed_route(PadicEndo(2, 1, A), multiplier=1)
+    assert cert2 == {"stabilized_at": None, "pass": False}
 
 
 def test_ordinary_projector_seeded_battery():
