@@ -5,7 +5,7 @@ Modules:
   exactnum   -- Q[s, z]/(s^2 - ell, Phi_k(z)) scalars and polynomials
   qcomb      -- Gaussian binomials, rank/chain counts, lambda/b coefficients
   lattice    -- the lattice poset, inclusion-exclusion and measure identities
-  hecke      -- U_m cosets, phi assembly, orbit/stabilizer and parahoric data
+  hecke      -- U_m -> psi_m reduction, phi assembly, orbit/stabilizer, parahoric data
   lfactor    -- Frobenius polynomials, central L-values, group-algebra form
   mackey     -- cohomology-functor axioms, Hecke maps, ordinary projector
   classfield -- ring class groups via binary quadratic forms

@@ -116,7 +116,7 @@ def run_coeffs(cfg):
         "congruences": cong,
         "phi_assembly": phi_cert,
         "a_coefficients": a_cert,
-        "phi": phi.serialize(),
+        "phi": hecke.serialize_cosets(phi, ctx),
         "csv_rows": rows,
     }
     failure = None if ok else {"stage": "coeffs"}

@@ -1,16 +1,17 @@
 """Coset calculus for GL_1 x GL_2n x GL_1 over Q_ell.
 
-The operators U_m are finite sums of explicit cosets; grouping their unipotent
-parameters by rank reduces them to the psi_m, whose multiplicities are the
-rank counts of module `qcomb`.  The test function phi is assembled from the b
-coefficients with the r-indexed integer identity behind the proof chain
+The operator U_m is the sum of the ell^{mn} cosets g_X K; grouping the
+unipotent parameters X by rank reduces it to psi_m, whose multiplicities are
+the rank counts of module `qcomb`.  The test function phi is assembled from
+the b coefficients with the r-indexed integer identity behind the proof chain
 checked exactly, and the orbit/stabilizer data behind the V_r indices is
-enumerated over F_ell.
+enumerated over F_ell.  Both psi_m and phi are integer combinations of the
+n + 1 fixed cosets (g_r, 1) K, stored as {r: coefficient} maps.
 
-Everything is exact: matrix entries are rationals whose denominators are
-powers of ell, and membership in the level subgroup K (integral entries, unit
-determinants) is decided by valuations.  The U_m reduction scales its
-witnesses by ell to integer matrices and decides membership by divisibility.
+Everything is exact.  The U_m reduction scales its witnesses by ell to
+integer matrices and decides membership in the level subgroup K (integral
+entries, unit determinants) by divisibility; the test suite's oracle decides
+the same membership over Q by valuations.
 """
 
 from dataclasses import dataclass
@@ -21,19 +22,15 @@ from itertools import product
 from . import qcomb
 from .matrices import (
     all_matrices_mod,
-    det_mod,
-    ell_power_denominator,
+    gl_elements,
     gl_generators,
     gl_order,
     inv_mod_matrix,
     is_prime,
     mat_det,
-    mat_inv,
-    mat_mul,
     rank_mod,
     rref_mod,
     smith_witness_mod,
-    v_ell,
 )
 
 ORBIT_FEASIBLE_CELLS = 25000  # ell^(n^2) cap for full matrix-space enumeration
@@ -59,148 +56,6 @@ class HeckeContext:
         return qcomb.QCombContext(self.n, self.ell)
 
 
-class GroupElt:
-    """An element (gl1, mat, twist) of GL_1 x GL_2n x GL_1 over Q_ell.
-
-    All entries are exact rationals whose denominators are powers of ell.
-    """
-
-    __slots__ = ("gl1", "mat", "twist", "ell")
-
-    def __init__(self, ell, gl1, mat, twist):
-        self.ell = ell
-        self.gl1 = Fraction(gl1)
-        self.twist = Fraction(twist)
-        self.mat = tuple(tuple(Fraction(x) for x in row) for row in mat)
-        for row in self.mat:
-            for x in row:
-                if not ell_power_denominator(x, ell):
-                    raise ValueError("entry denominators must be powers of ell")
-        for x in (self.gl1, self.twist):
-            if x == 0 or not ell_power_denominator(x, ell):
-                raise ValueError("GL_1 parts must be nonzero with ell-power denominators")
-
-    @staticmethod
-    def identity(ell, size):
-        return GroupElt(ell, 1, [[int(i == j) for j in range(size)] for i in range(size)], 1)
-
-    def mul(self, other):
-        assert self.ell == other.ell
-        return GroupElt(self.ell, self.gl1 * other.gl1,
-                        mat_mul(self.mat, other.mat), self.twist * other.twist)
-
-    def in_level(self):
-        """Membership in K = GL_1(Z_ell) x GL_2n(Z_ell) x GL_1(Z_ell)."""
-        return (
-            _mat_ell_integral(self.mat, self.ell)
-            and _det_val_zero(self.mat, self.ell)
-            and v_ell(self.gl1, self.ell) == 0
-            and v_ell(self.twist, self.ell) == 0
-        )
-
-    def serialize(self):
-        def f(x):
-            return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-        return {
-            "gl1": f(self.gl1),
-            "mat": [[f(x) for x in row] for row in self.mat],
-            "twist": f(self.twist),
-        }
-
-    def __repr__(self):
-        return f"GroupElt({self.serialize()})"
-
-
-def _mat_ell_integral(M, ell):
-    return all(x == 0 or v_ell(Fraction(x), ell) >= 0 for row in M for x in row)
-
-
-def _det_fraction(M):
-    n = len(M)
-    work = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                fac = work[r][col] * inv
-                work[r] = [x - fac * y for x, y in zip(work[r], work[col])]
-    return det
-
-
-def _det_val_zero(M, ell):
-    det = _det_fraction(M)
-    return det != 0 and v_ell(det, ell) == 0
-
-
-def same_coset(g1, g2):
-    """Left cosets agree: g1^{-1} g2 lies in K."""
-    h_mat = mat_mul(mat_inv(g1.mat), g2.mat)
-    if not (_mat_ell_integral(h_mat, g1.ell) and _det_val_zero(h_mat, g1.ell)):
-        return False
-    return (
-        v_ell(g2.gl1 / g1.gl1, g1.ell) == 0
-        and v_ell(g2.twist / g1.twist, g1.ell) == 0
-    )
-
-
-class CosetSum:
-    """A formal integer combination of left cosets g K in the extended group."""
-
-    def __init__(self, ell, terms):
-        self.ell = ell
-        self.terms = [(int(c), g) for c, g in terms]
-
-    def canonicalize(self):
-        """Merge equal cosets; deterministic order by serialized representative."""
-        merged = []
-        for c, g in self.terms:
-            for i, (c0, g0) in enumerate(merged):
-                if same_coset(g0, g):
-                    merged[i] = (c0 + c, g0)
-                    break
-            else:
-                merged.append((c, g))
-        merged = [(c, g) for c, g in merged if c != 0]
-        merged.sort(key=lambda t: str(t[1].serialize()))
-        return CosetSum(self.ell, merged)
-
-    def __eq__(self, other):
-        if not isinstance(other, CosetSum) or self.ell != other.ell:
-            return NotImplemented
-        a = self.canonicalize().terms
-        b = other.canonicalize().terms
-        if len(a) != len(b):
-            return False
-        used = set()
-        for c, g in a:
-            hit = None
-            for i, (c2, g2) in enumerate(b):
-                if i not in used and c == c2 and same_coset(g, g2):
-                    hit = i
-                    break
-            if hit is None:
-                return False
-            used.add(hit)
-        return True
-
-    __hash__ = None
-
-    def serialize(self):
-        return [{"coeff": c, "rep": g.serialize()} for c, g in self.terms]
-
-    def __len__(self):
-        return len(self.terms)
-
-
 # ---------------------------------------------------------------------------
 # distinguished elements
 
@@ -209,16 +64,19 @@ def x_r_matrix(r, n):
     return tuple(tuple(int(i == j and i < r) for j in range(n)) for i in range(n))
 
 
-def g_r_element(r, ctx):
-    """(g_r, 1) with g_r = 1 x [[1, ell^{-1} X_r], [0, 1]]."""
-    n, ell = ctx.n, ctx.ell
-    X = x_r_matrix(r, n)
-    mat = [[Fraction(int(i == j)) for j in range(2 * n)] for i in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            if X[i][j]:
-                mat[i][n + j] = Fraction(1, ell)
-    return GroupElt(ell, 1, mat, 1)
+def serialize_cosets(coeffs, ctx):
+    """JSON for sum_r coeffs[r] ch((g_r, 1) K), one term per r in increasing order.
+
+    (g_r, 1) is written as (1, g_r, 1) with g_r = [[1, ell^{-1} X_r], [0, 1]]:
+    every entry is "0" or "1" except "1/ell" at (i, n + i) for i < r.
+    """
+    n, inv_ell = ctx.n, f"1/{ctx.ell}"
+    terms = []
+    for r, c in sorted(coeffs.items()):
+        mat = [["1" if i == j else inv_ell if j == n + i and i < r else "0"
+                for j in range(2 * n)] for i in range(2 * n)]
+        terms.append({"coeff": c, "rep": {"gl1": "1", "mat": mat, "twist": "1"}})
+    return terms
 
 
 def _um_layout(X, m, ctx):
@@ -236,20 +94,6 @@ def _um_layout(X, m, ctx):
     return mat, -m
 
 
-def _um_summand(X, m, ctx):
-    """(1, [[t_m, X], [0, 1]], det^{-1}) for X in M_{m x n}(F_ell), padded."""
-    mat, e = _um_layout(X, m, ctx)
-    return GroupElt(ctx.ell, 1, mat, Fraction(ctx.ell) ** e)
-
-
-def um_cosets(m, ctx):
-    """The ell^{mn} summands of U_m: X ranges over lifts of M_{m x n}(F_ell)."""
-    n, ell = ctx.n, ctx.ell
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    return CosetSum(ell, [(1, _um_summand(X, m, ctx)) for X in all_matrices_mod(m, n, ell)])
-
-
 # ---------------------------------------------------------------------------
 # reduction of U_m to psi_m
 
@@ -261,7 +105,8 @@ def reduce_um_to_psi(m, ctx):
     k = (g_r, 1)^{-1} h^{-1} g_X is verified to lie in K exactly, including
     the GL_1 bookkeeping (h has twist ell^{-m} det A det B^{-1}).
 
-    Returns (psi_m, multiplicities, certificate).
+    Returns (psi_m, multiplicities, certificate) with psi_m the map
+    {r: c_{r,m}}, or None if a witness fails.
     """
     n, ell = ctx.n, ctx.ell
     if not 1 <= m <= n:
@@ -279,7 +124,7 @@ def reduce_um_to_psi(m, ctx):
             return None, counts, cert
     expected = {r: qcomb.rank_count(r, m, ctx.qctx) for r in range(m + 1)}
     ok = counts == expected
-    psi = CosetSum(ell, [(counts[r], g_r_element(r, ctx)) for r in range(m + 1)])
+    psi = dict(counts)
     cert = {
         "identity": "um_reduction", "m": m, "n": n, "ell": ell,
         "multiplicities": {r: counts[r] for r in sorted(counts)},
@@ -361,7 +206,7 @@ def phi_identity_rows(ctx, table, b):
 
 
 def assemble_phi(ctx):
-    """phi = sum_r b_r ch((g_r, 1) K) plus the r-indexed integer identity.
+    """phi = sum_r b_r ch((g_r, 1) K) as {r: b_r}, plus the r-indexed identity.
 
     For each 0 <= r <= n:
       ell^(n^2) [r = 0] - sum_{m >= max(r,1)} ell^(n(n-m)) lambda_m c_{r,m}
@@ -372,7 +217,7 @@ def assemble_phi(ctx):
     lam, b = table.lam, table.b
     rows = phi_identity_rows(ctx, table, b)
     ok_all = table.certificates["all_b_integral"] and all(row["pass"] for row in rows)
-    phi = CosetSum(ell, [(b[r], g_r_element(r, ctx)) for r in range(n + 1)])
+    phi = dict(enumerate(b))
     cert = {
         "identity": "phi_assembly", "n": n, "ell": ell,
         "b": list(b), "b_prime": list(table.b_prime), "lambda": list(lam),
@@ -417,8 +262,8 @@ def orbit_stabilizer(r, ctx):
     The orbit is grown by BFS under one-sided generator actions and must equal
     the set of rank-r matrices (= c_{r,n} of them); the stabilizer order comes
     from the orbit-stabilizer theorem with exact divisibility checked.  The
-    image of nu(A, B) = det(A)^{-1} det(B) on the stabilizer is computed from
-    the solved stabilizer equation A X_r = X_r B.
+    image of nu(A, B) = det(A)^{-1} det(B) on the stabilizer is derived from
+    the block form of the stabilizer equation A X_r = X_r B.
     """
     n, ell = ctx.n, ctx.ell
     if not 0 <= r <= n:
@@ -498,50 +343,23 @@ def _matrix_index(M, ell):
 
 
 def _nu_image(r, n, ell):
-    """{det(A)^{-1} det(B) : A X_r B^{-1} = X_r} as a subset of F_ell^*.
+    """{det(A)^{-1} det(B) : A X_r = X_r B} as a subset of F_ell^*.
 
-    The stabilizer equation A X_r = X_r B forces the lower-left r-columns of A
-    to vanish and fixes the first r rows of B to those of A X_r; the remaining
-    rows of B are free subject to invertibility.  Early exit once the image
-    is all of F_ell^*.
+    In blocks of sizes r and n - r, A X_r = X_r B forces A_21 = 0, B_11 = A_11
+    and B_12 = 0, so det A = det A_11 det A_22 and det B = det A_11 det B_22:
+    nu = det(A_22)^{-1} det(B_22) with A_22, B_22 free in GL_{n-r}(F_ell).
+    The determinant maps GL_k(F_ell) onto F_ell^* for k >= 1, so the image is
+    all of F_ell^* for r < n and {1} at r = n.
     """
-    full = set(range(1, ell))
-    if ell == 2:
-        full = {1}
-    image = set()
-    free_rows = n - r
-    for A in all_matrices_mod(n, n, ell):
-        if det_mod(A, ell) == 0:
-            continue
-        if any(A[i][j] for i in range(r, n) for j in range(r)):
-            continue  # A X_r would have nonzero rows below r
-        dA_inv = pow(det_mod(A, ell), -1, ell)
-        fixed = [[A[i][j] if j < r else 0 for j in range(n)] for i in range(r)]
-        if free_rows == 0:
-            B = tuple(tuple(row) for row in fixed)
-            dB = det_mod(B, ell)
-            if dB:
-                image.add((dA_inv * dB) % ell)
-        else:
-            for rest in all_matrices_mod(free_rows, n, ell):
-                B = tuple(tuple(row) for row in fixed) + tuple(rest)
-                dB = det_mod(B, ell)
-                if dB:
-                    image.add((dA_inv * dB) % ell)
-                if image == full:
-                    return image
-        if image == full:
-            return image
-    return image
+    return set(range(1, ell)) if r < n else {1}
 
 
-def a_coefficients(ctx, index_source="auto"):
+def a_coefficients(ctx):
     """a_r = (ell-1) b_r / [K_H : V_{1,r}] with the computed indices.
 
-    Index sources: "enumeration" uses orbit_stabilizer (feasible sizes only);
-    "closed_form" uses c_{r,n} times the nu-image order (ell-1 for r < n, 1
-    at r = n, the rule certified against enumeration at feasible sizes);
-    "auto" picks enumeration when feasible.  The r = n mismatch with the
+    Where the orbits are feasible the indices come from orbit_stabilizer
+    ("enumeration"); beyond that from c_{r,n} times the nu-image order (ell-1
+    for r < n, 1 at r = n; "closed_form").  The r = n mismatch with the
     blanket index claim [V_r : V_{1,r}] = ell - 1 is reported as a documented
     discrepancy, never silently corrected.
     """
@@ -549,19 +367,18 @@ def a_coefficients(ctx, index_source="auto"):
     table = qcomb.b_coefficients(ctx.qctx)
     b = table.b
     lam = table.lam
-    if index_source == "auto":
-        index_source = "enumeration" if _feasible(ctx) else "closed_form"
+    enumerate_orbits = _feasible(ctx)
     rows = []
     a = []
     ok = table.certificates["all_b_integral"]
     for r in range(n + 1):
-        if index_source == "enumeration":
+        if enumerate_orbits:
             rep = orbit_stabilizer(r, ctx)
             index = rep.index_K_V1r
             nu_order = rep.nu_image_order
             ok = ok and rep.certificate["pass"]
         else:
-            nu_order = (ell - 1) if r < n else 1
+            nu_order = len(_nu_image(r, n, ell))
             index = qcomb.rank_count(r, n, ctx.qctx) * nu_order
         num = (ell - 1) * b[r]
         integral = num % index == 0
@@ -578,7 +395,7 @@ def a_coefficients(ctx, index_source="auto"):
     boundary = a[n] == -lam[n - 1]
     cert = {
         "identity": "a_coefficients", "n": n, "ell": ell,
-        "index_source": index_source,
+        "index_source": "enumeration" if enumerate_orbits else "closed_form",
         "rows": rows,
         "a": [x if not isinstance(x, Fraction) else str(x) for x in a],
         "boundary_a_n_equals_minus_lambda_n": boundary,
@@ -589,7 +406,12 @@ def a_coefficients(ctx, index_source="auto"):
 
 
 def certify_index_rule(max_n=3, ells=(2, 3)):
-    """Check the closed-form nu-image rule against full enumeration."""
+    """Check the enumerated orbit data against the closed-form index rule.
+
+    At every feasible (n, ell, r) the orbit certificate must pass and the
+    nu-image order must be the rule used beyond enumeration (ell - 1 for
+    r < n, 1 at r = n).
+    """
     results = []
     ok = True
     for n in range(1, max_n + 1):
@@ -611,19 +433,15 @@ def certify_index_rule(max_n=3, ells=(2, 3)):
 # ---------------------------------------------------------------------------
 # the flag variety G/Q-bar over F_ell
 
-def _rref_key(rows, ell):
-    return rref_mod(rows, ell)
-
-
 def flag_orbit_check(ctx):
     """The H-orbit of [u] in G/Q-bar is the open cell of graph subspaces.
 
     Realised over F_ell on n-dimensional subspaces of F_ell^{2n} (row spans in
     canonical RREF): [u] is the diagonal subspace, H acts through diag blocks.
-    Checks: the stabilizer is exactly the diagonal copy {(X, X)} (membership
-    plus orbit-stabilizer counting), it is contained in H cap u H u^{-1}, the
-    orbit size is |GL_n(F_ell)|, and the identity coset gives the size-1
-    contrast orbit (not open).  The GL_1 factors act trivially throughout.
+    Checks: every (X, X) fixes [u] and the orbit size is |GL_n(F_ell)|, so by
+    orbit-stabilizer counting the stabilizer is exactly the diagonal copy
+    {(X, X)}; and the identity coset gives the size-1 contrast orbit (not
+    open).  The GL_1 factors act trivially throughout.
     """
     n, ell = ctx.n, ctx.ell
     if gl_order(n, ell) > 20000:
@@ -636,7 +454,7 @@ def flag_orbit_check(ctx):
             tuple(sum(row[t] * g[t][j] for t in range(2 * n)) % ell for j in range(2 * n))
             for row in rows
         ]
-        return _rref_key(moved, ell)
+        return rref_mod(moved, ell)
 
     def block_diag(h1, h2):
         M = [[0] * (2 * n) for _ in range(2 * n)]
@@ -647,9 +465,9 @@ def flag_orbit_check(ctx):
         return tuple(tuple(r) for r in M)
 
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    delta = _rref_key([tuple([int(i == j) for j in range(n)] + [int(i == j) for j in range(n)])
-                       for i in range(n)], ell)
-    w0 = _rref_key([tuple([0] * n + [int(i == j) for j in range(n)]) for i in range(n)], ell)
+    delta = rref_mod([tuple([int(i == j) for j in range(n)] + [int(i == j) for j in range(n)])
+                      for i in range(n)], ell)
+    w0 = rref_mod([tuple([0] * n + [int(i == j) for j in range(n)]) for i in range(n)], ell)
 
     # act expects the matrix transposed relative to v -> g v on columns; for a
     # row basis R the image subspace is spanned by rows of R g^T
@@ -672,33 +490,8 @@ def flag_orbit_check(ctx):
                 frontier.append(w)
 
     gl = gl_order(n, ell)
-    stab_diag_ok = True
-    from .matrices import gl_elements
-
-    for X in gl_elements(n, ell):
-        if act_subspace(delta, block_diag(X, X)) != delta:
-            stab_diag_ok = False
-            break
-        # containment in H cap u H u^{-1}: u^{-1} diag(X, X) u stays block diag
-        # since the off-diagonal block X - X vanishes; verified numerically
-        u = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
-        for i in range(n):
-            u[i][n + i] = 1
-        uinv = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
-        for i in range(n):
-            uinv[i][n + i] = ell - 1
-        conj = mat_mul(mat_mul(uinv, block_diag(X, X)), u)
-        conj = tuple(tuple(x % ell for x in row) for row in conj)
-        off_ok = all(
-            conj[i][n + j] % ell == 0 and conj[n + i][j] % ell == 0
-            for i in range(n) for j in range(n)
-        )
-        if not off_ok:
-            stab_diag_ok = False
-            break
-
-    # orbit-stabilizer: |orbit| * |{(X,X)}| = |H_0| pins the stabilizer exactly
-    counting_ok = len(orbit) * gl == gl * gl
+    stab_diag_ok = all(act_subspace(delta, block_diag(X, X)) == delta
+                       for X in gl_elements(n, ell))
     identity_orbit = {w0}
     for g in h_gens:
         identity_orbit.add(act_subspace(w0, g))
@@ -711,12 +504,11 @@ def flag_orbit_check(ctx):
         "gl_n_order": gl,
         "orbit_equals_gl_n": len(orbit) == gl,
         "stabilizer_is_diagonal": stab_diag_ok,
-        "stabilizer_in_u_conjugate": stab_diag_ok,
         "flag_point_count": total_flag,
         "open_cell_size": ell ** (n * n),
         "identity_coset_orbit_size": len(identity_orbit),
         "identity_orbit_not_open": contrast_ok and total_flag > 1,
-        "pass": stab_diag_ok and counting_ok and len(orbit) == gl and contrast_ok,
+        "pass": stab_diag_ok and len(orbit) == gl and contrast_ok,
     }
     return cert
 
@@ -896,8 +688,8 @@ def iwahori_coset_check(r, p, N):
         def subset(x, y):
             return sets[x] <= sets[y]
 
-        def equal(x, y):
-            return sets[x] == sets[y]
+        a2_mat = sets["V_r_prime"] & sets["V_r1"] == sets["V_r1_prime"]
+        b2_mat = sets["V_r"] & sets["JD_prime"] == sets["V_r_prime"]
     else:
         shapes = {name: _extract_shape(pred, p, N) for name, pred in preds.items()}
         orders = {name: _shape_order(*shape, p, N) for name, shape in shapes.items()}
@@ -910,45 +702,36 @@ def iwahori_coset_check(r, p, N):
         def subset(x, y):
             return shapes[x][0] >= shapes[y][0] and shapes[x][1] >= shapes[y][1]
 
-        def equal(x, y):
-            return shapes[x] == shapes[y]
+        a2_mat = (
+            inter("V_r_prime", "V_r1") == orders["V_r1_prime"]
+            and subset("V_r1_prime", "V_r_prime") and subset("V_r1_prime", "V_r1")
+        )
+        b2_mat = (
+            inter("V_r", "JD_prime") == orders["V_r_prime"]
+            and subset("V_r_prime", "V_r") and subset("V_r_prime", "JD_prime")
+        )
 
-    # matrix-factor assertions (product-of-subgroups counting)
-    results = {}
-    results["a1_mat"] = (
+    # matrix-factor singletons (product-of-subgroups counting)
+    a1_mat = (
         subset("V_r_prime", "V_r") and subset("V_r1", "V_r")
         and orders["V_r_prime"] * orders["V_r1"]
         == orders["V_r"] * inter("V_r_prime", "V_r1")
     )
-    results["a2_mat"] = (
-        inter("V_r_prime", "V_r1") == orders["V_r1_prime"]
-        and subset("V_r1_prime", "V_r_prime") and subset("V_r1_prime", "V_r1")
-    )
-    results["b1_mat"] = (
+    b1_mat = (
         subset("JD_prime", "JD") and subset("V_r", "JD")
         and orders["JD_prime"] * orders["V_r"]
         == orders["JD"] * inter("JD_prime", "V_r")
     )
-    results["b2_mat"] = (
-        inter("V_r", "JD_prime") == orders["V_r_prime"]
-        and subset("V_r_prime", "V_r") and subset("V_r_prime", "JD_prime")
-    )
-    if explicit:
-        results["b2_mat"] = sets["V_r"] & sets["JD_prime"] == sets["V_r_prime"]
-        results["a2_mat"] = sets["V_r_prime"] & sets["V_r1"] == sets["V_r1_prime"]
 
-    # GL_1 (torus) factor: every group carries D_{p^r} except V_{r+1}, V'_{r+1}
+    # GL_1 (torus) factor: every group carries D_{p^r} except V_{r+1}, V'_{r+1},
+    # so the (b) assertions have the same torus factor D_{p^r} on both sides
     Dr, Dr1 = D[r], D[r + 1]
-    results["a1_torus"] = len(Dr) * len(Dr1) == len(Dr) * len(Dr & Dr1)
-    results["a2_torus"] = Dr & Dr1 == Dr1
-    results["b1_torus"] = len(Dr) * len(Dr) == len(Dr) * len(Dr)
-    results["b2_torus"] = Dr & Dr == Dr
-
+    a1_torus = len(Dr) * len(Dr1) == len(Dr) * len(Dr & Dr1)
     checks = {
-        "Vr_prime_Vr_Vr1_singleton": results["a1_mat"] and results["a1_torus"],
-        "Vr_prime_cap_Vr1_is_Vr1_prime": results["a2_mat"] and results["a2_torus"],
-        "JD_prime_JD_Vr_singleton": results["b1_mat"] and results["b1_torus"],
-        "Vr_cap_JD_prime_is_Vr_prime": results["b2_mat"] and results["b2_torus"],
+        "Vr_prime_Vr_Vr1_singleton": a1_mat and a1_torus,
+        "Vr_prime_cap_Vr1_is_Vr1_prime": a2_mat and Dr & Dr1 == Dr1,
+        "JD_prime_JD_Vr_singleton": b1_mat,
+        "Vr_cap_JD_prime_is_Vr_prime": b2_mat,
     }
     ok = all(checks.values())
     return {

@@ -1,10 +1,9 @@
 """Exact linear algebra used everywhere else.
 
-Three flavours live here:
+Two flavours live here:
 
 * integer matrices: Hermite normal form (row style, upper triangular),
   determinants, Smith exponents at a prime (elimination modulo a power of it);
-* Fraction matrices: inverse / solve, for the coset tests;
 * matrices over F_p and Z/p^N: rank, RREF, inverses, Smith witnesses.
 
 Everything is pure and allocation-cheap; sizes stay tiny (n <= 8).
@@ -35,44 +34,8 @@ def _valuation(x, ell):
     return v
 
 
-def ell_power_denominator(x, ell):
-    """True if the reduced denominator of the Fraction x is a power of ell."""
-    d = x.denominator
-    while d % ell == 0:
-        d //= ell
-    return d == 1
-
-
 # ---------------------------------------------------------------------------
-# generic dense helpers (entries int or Fraction)
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def mat_inv(A):
-    """Inverse of a square matrix, computed over Q.  Raises on singular input."""
-    n = len(A)
-    work = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
+# integer determinants
 
 def mat_det(A):
     """Exact determinant via fraction-free Bareiss."""

@@ -6,11 +6,17 @@ original, unoptimised ExactScalar arithmetic, the slow reference for the
 fast kernel in tamenorm.exactnum; `ref_smith_ell_exponents`, `ref_contains`,
 `ref_join` and `ref_verify_reduction` are the minor-enumeration and
 `Fraction` paths that the integer ell-adic kernels in tamenorm.matrices,
-tamenorm.lattice and tamenorm.hecke replaced.  `RefGroup` is the finite
-group on concrete tuple elements that the index-based tamenorm.fingroup
-replaced: every product is recomputed and matrix inverses are powers.
+tamenorm.lattice and tamenorm.hecke replaced.  `RefElt` is the Fraction
+coset element of GL_1 x GL_2n x GL_1 that tamenorm.hecke replaced by
+{r: coefficient} maps: K-membership by valuations, the U_m summands, and the
+frozen serialization of the g_r behind the "phi" certificate bytes;
+`ref_nu_image` enumerates the stabilizer of X_r by brute force.  `RefGroup`
+is the finite group on concrete tuple elements that the index-based
+tamenorm.fingroup replaced: every product is recomputed and matrix inverses
+are powers.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -18,14 +24,7 @@ from math import gcd, lcm, prod
 
 from tamenorm import hecke
 from tamenorm.lattice import LatticeClass
-from tamenorm.matrices import (
-    ell_normalize,
-    ell_power_denominator,
-    inv_mod_matrix,
-    mat_inv,
-    mat_mul,
-    v_ell,
-)
+from tamenorm.matrices import all_matrices_mod, ell_normalize, inv_mod_matrix, v_ell
 
 
 def all_vectors(n, q):
@@ -355,6 +354,53 @@ def _leibniz_det(M):
     return total
 
 
+def ref_det(M):
+    """Determinant over Q as a Fraction: the Leibniz expansion of M with the
+    denominators of each row cleared, divided back out."""
+    scale, rows = 1, []
+    for row in M:
+        row = [Fraction(x) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        scale *= d
+        rows.append([int(x * d) for x in row])
+    return Fraction(_leibniz_det(rows), scale)
+
+
+def ref_mat_mul(A, B):
+    """The product of two int or Fraction matrices, entry by entry."""
+    return tuple(
+        tuple(sum(A[i][t] * B[t][j] for t in range(len(B))) for j in range(len(B[0])))
+        for i in range(len(A))
+    )
+
+
+def ref_mat_inv(A):
+    """Inverse over Q, one `_ref_solve` per column.  Raises on singular input."""
+    n = len(A)
+    M = [[Fraction(x) for x in row] for row in A]
+    cols = [_ref_solve(M, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
+    if None in cols:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+
+
+def ref_ell_power_denominator(x, ell):
+    """True if the reduced denominator of the Fraction x is a power of ell."""
+    d = Fraction(x).denominator
+    while d % ell == 0:
+        d //= ell
+    return d == 1
+
+
+def ref_ell_integral(M, ell):
+    return all(x == 0 or v_ell(Fraction(x), ell) >= 0 for row in M for x in row)
+
+
+def ref_unit_det(M, ell):
+    det = ref_det(M)
+    return det != 0 and v_ell(det, ell) == 0
+
+
 def ref_smith_ell_exponents(M, ell):
     """Elementary-divisor ell-exponents from minor valuations.
 
@@ -378,7 +424,7 @@ def ref_smith_ell_exponents(M, ell):
 
 def ref_contains(L_big, L_small):
     """Solve rows(L_small) = X rows(L_big) over Q; contained iff X is ell-integral."""
-    X = mat_mul(L_small.basis, mat_inv(L_big.basis))
+    X = ref_mat_mul(L_small.basis, ref_mat_inv(L_big.basis))
     return all(x == 0 or v_ell(x, L_big.ell) >= 0 for row in X for x in row)
 
 
@@ -387,18 +433,18 @@ def ref_join(L1, L2):
     ell, n = L1.ell, L1.n
     dual_rows = []
     for L in (L1, L2):
-        inv = mat_inv(L.basis)
+        inv = ref_mat_inv(L.basis)
         dual_rows.extend(tuple(inv[i][j] for i in range(n)) for j in range(n))
     t = 0
     for row in dual_rows:
         for x in row:
             if x != 0:
                 t = max(t, v_ell(Fraction(x).denominator, ell))
-            if not ell_power_denominator(Fraction(x), ell):
+            if not ref_ell_power_denominator(x, ell):
                 raise ArithmeticError("dual basis has non-ell denominator")
     scale = ell ** t
     int_rows = [[int(x * scale) for x in row] for row in dual_rows]
-    inv = mat_inv(ell_normalize(int_rows, ell))
+    inv = ref_mat_inv(ell_normalize(int_rows, ell))
     res = [[Fraction(inv[i][j]) * scale for i in range(n)] for j in range(n)]
     out = []
     for row in res:
@@ -412,10 +458,10 @@ def ref_verify_reduction(X, U, V, r, m, ctx):
     """The U_m witness check over Q: k = (g_r,1)^{-1} h^{-1} g_X lies in K."""
     ell = ctx.ell
     k_mat, A, B, gX = ref_reduction_element(X, U, V, r, m, ctx)
-    if not (hecke._mat_ell_integral(k_mat, ell) and hecke._det_val_zero(k_mat, ell)):
+    if not (ref_ell_integral(k_mat, ell) and ref_unit_det(k_mat, ell)):
         return False
-    detA = hecke._det_fraction(A)
-    detB = hecke._det_fraction(B)
+    detA = ref_det(A)
+    detB = ref_det(B)
     if detA == 0 or detB == 0:
         return False
     twist_k = gX.twist * (ell ** m) * detB / detA
@@ -439,8 +485,91 @@ def ref_reduction_element(X, U, V, r, m, ctx):
         for j in range(n):
             if Xr[i][j]:
                 g_r_inv[i][n + j] = Fraction(-1, ell)
-    gX = hecke._um_summand(X, m, ctx)
-    return mat_mul(g_r_inv, mat_mul(h_inv, gX.mat)), A, B, gX
+    gX = ref_um_summand(X, m, ctx)
+    return ref_mat_mul(g_r_inv, ref_mat_mul(h_inv, gX.mat)), A, B, gX
+
+
+# ---------------------------------------------------------------------------
+# coset elements of GL_1 x GL_2n x GL_1 over Q_ell, with Fraction entries
+
+
+RefElt = namedtuple("RefElt", "gl1 mat twist")
+
+
+def ref_elt(gl1, mat, twist, ell):
+    """A RefElt with every entry a Fraction whose denominator is a power of ell."""
+    elt = RefElt(Fraction(gl1), tuple(tuple(Fraction(x) for x in row) for row in mat),
+                 Fraction(twist))
+    entries = [x for row in elt.mat for x in row] + [elt.gl1, elt.twist]
+    assert elt.gl1 != 0 and elt.twist != 0
+    assert all(ref_ell_power_denominator(x, ell) for x in entries)
+    return elt
+
+
+def ref_in_level(g, ell):
+    """Membership in K = GL_1(Z_ell) x GL_2n(Z_ell) x GL_1(Z_ell) by valuations."""
+    return (ref_ell_integral(g.mat, ell) and ref_unit_det(g.mat, ell)
+            and v_ell(g.gl1, ell) == 0 and v_ell(g.twist, ell) == 0)
+
+
+def ref_same_coset(g1, g2, ell):
+    """Left cosets agree: g1^{-1} g2 lies in K."""
+    h = RefElt(g2.gl1 / g1.gl1, ref_mat_mul(ref_mat_inv(g1.mat), g2.mat), g2.twist / g1.twist)
+    return ref_in_level(h, ell)
+
+
+def ref_g_r(r, ctx):
+    """(g_r, 1) with g_r = 1 x [[1, ell^{-1} X_r], [0, 1]]."""
+    n, ell = ctx.n, ctx.ell
+    X = hecke.x_r_matrix(r, n)
+    mat = [[Fraction(int(i == j)) for j in range(2 * n)] for i in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            if X[i][j]:
+                mat[i][n + j] = Fraction(1, ell)
+    return ref_elt(1, mat, 1, ell)
+
+
+def ref_um_summand(X, m, ctx):
+    """(1, [[t_m, X], [0, 1]], det^{-1}) for X in M_{m x n}(F_ell), built from
+    `hecke._um_layout` so that a perturbed layout reaches the oracle too."""
+    mat, e = hecke._um_layout(X, m, ctx)
+    return ref_elt(1, mat, Fraction(ctx.ell) ** e, ctx.ell)
+
+
+def ref_um_cosets(m, ctx):
+    """The ell^{mn} summands of U_m: X ranges over lifts of M_{m x n}(F_ell)."""
+    return [ref_um_summand(X, m, ctx) for X in all_matrices_mod(m, ctx.n, ctx.ell)]
+
+
+def ref_serialize(g):
+    """The certificate JSON of a coset representative, frozen as first written."""
+    def f(x):
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+
+    return {
+        "gl1": f(g.gl1),
+        "mat": [[f(x) for x in row] for row in g.mat],
+        "twist": f(g.twist),
+    }
+
+
+def ref_nu_image(r, n, ell):
+    """{det(A)^{-1} det(B) : (A, B) in GL_n(F_ell)^2, A X_r = X_r B}, by brute force."""
+    Xr = hecke.x_r_matrix(r, n)
+    gl = []
+    for flat in product(range(ell), repeat=n * n):
+        M = [flat[i * n:(i + 1) * n] for i in range(n)]
+        d = _leibniz_det(M) % ell
+        if d:
+            gl.append((M, d))
+    image = set()
+    for A, dA in gl:
+        AX = ref_mat_mul(A, Xr)  # X_r is a 0/1 diagonal: both sides stay reduced
+        for B, dB in gl:
+            if AX == ref_mat_mul(Xr, B):
+                image.add(pow(dA, -1, ell) * dB % ell)
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,30 @@
 import pytest
 from fractions import Fraction
 
-from oracles import ref_reduction_element, ref_verify_reduction
+from oracles import (
+    ref_det,
+    ref_elt,
+    ref_g_r,
+    ref_in_level,
+    ref_nu_image,
+    ref_reduction_element,
+    ref_same_coset,
+    ref_serialize,
+    ref_um_cosets,
+    ref_verify_reduction,
+)
 from tamenorm import hecke
 from tamenorm.hecke import (
-    CosetSum,
-    GroupElt,
     HeckeContext,
     InfeasibleError,
     a_coefficients,
     assemble_phi,
     certify_index_rule,
     flag_orbit_check,
-    g_r_element,
     iwahori_coset_check,
     orbit_stabilizer,
     reduce_um_to_psi,
-    same_coset,
-    um_cosets,
+    serialize_cosets,
 )
 from tamenorm.matrices import all_matrices_mod, mat_det, rank_mod, smith_witness_mod
 from tamenorm.qcomb import QCombContext, lambda_coefficients, rank_count
@@ -29,26 +36,26 @@ COSET_CELLS = [(n, ell, m) for n in (1, 2, 3) for ell in (2, 3, 5, 7)
 
 
 def test_um_coset_counts():
-    assert len(um_cosets(1, HeckeContext(2, 2))) == 4     # 2^(1*2)
-    assert len(um_cosets(1, HeckeContext(1, 3))) == 3
-    assert len(um_cosets(2, HeckeContext(2, 2))) == 16    # 2^(2*2)
+    assert len(ref_um_cosets(1, HeckeContext(2, 2))) == 4     # 2^(1*2)
+    assert len(ref_um_cosets(1, HeckeContext(1, 3))) == 3
+    assert len(ref_um_cosets(2, HeckeContext(2, 2))) == 16    # 2^(2*2)
 
 
 def test_group_elt_level_membership():
     ctx = HeckeContext(1, 5)
-    assert GroupElt.identity(5, 2).in_level()
-    assert not g_r_element(1, ctx).in_level()  # has a 1/5 entry
-    assert g_r_element(0, ctx).in_level()      # X_0 = 0 gives the identity
+    assert ref_in_level(ref_elt(1, [[1, 0], [0, 1]], 1, 5), 5)
+    assert not ref_in_level(ref_g_r(1, ctx), 5)  # has a 1/5 entry
+    assert ref_in_level(ref_g_r(0, ctx), 5)      # X_0 = 0 gives the identity
 
 
 def test_same_coset_distinguishes_x_mod_ell():
-    # U_m summands with X = X' mod ell give the same coset, otherwise not
-    ctx = HeckeContext(1, 3)
-    terms = um_cosets(1, ctx).terms
-    reps = [g for _, g in terms]
-    for i, g in enumerate(reps):
-        for j, h in enumerate(reps):
-            assert same_coset(g, h) == (i == j)
+    # the ell^(mn) U_m summands lie in ell^(mn) distinct cosets
+    for n, ell, m in [(1, 3, 1), (1, 5, 1), (2, 2, 1), (2, 2, 2)]:
+        reps = ref_um_cosets(m, HeckeContext(n, ell))
+        assert len(reps) == ell ** (m * n)
+        for i, g in enumerate(reps):
+            for j, h in enumerate(reps):
+                assert ref_same_coset(g, h, ell) == (i == j), (n, ell, m, i, j)
 
 
 def test_reduce_um_examples():
@@ -57,8 +64,7 @@ def test_reduce_um_examples():
     psi, counts, cert = reduce_um_to_psi(1, ctx)
     assert cert["pass"], cert
     assert counts == {0: 1, 1: 3}
-    want = CosetSum(2, [(1, g_r_element(0, ctx)), (3, g_r_element(1, ctx))])
-    assert psi == want
+    assert psi == {0: 1, 1: 3}
     # n=1, m=1, ell=3: ch(K) + 2 ch((g_1,1)K)
     ctx = HeckeContext(1, 3)
     psi, counts, cert = reduce_um_to_psi(1, ctx)
@@ -84,8 +90,7 @@ def test_assemble_phi_n1():
     ctx = HeckeContext(1, 5)
     phi, cert = assemble_phi(ctx)
     assert cert["pass"]
-    want = CosetSum(5, [(1, g_r_element(0, ctx)), (-1, g_r_element(1, ctx))])
-    assert phi == want
+    assert phi == {0: 1, 1: -1}
 
 
 def test_assemble_phi_n2_ell2():
@@ -100,6 +105,18 @@ def test_assemble_phi_n2_ell2():
 def test_assemble_phi_identity_sweep(n, ell):
     _, cert = assemble_phi(HeckeContext(n, ell))
     assert cert["pass"], cert
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_phi_serialization_matches_frozen_reference(n, ell):
+    # the "phi" certificate bytes: one term per r = 0..n, zero b_r included
+    ctx = HeckeContext(n, ell)
+    phi, cert = assemble_phi(ctx)
+    assert phi == dict(enumerate(cert["b"]))
+    want = [{"coeff": b, "rep": ref_serialize(ref_g_r(r, ctx))} for r, b in enumerate(cert["b"])]
+    assert serialize_cosets(phi, ctx) == want
+    assert serialize_cosets({0: 0, 1: 5}, ctx)[0]["coeff"] == 0
 
 
 def test_orbit_stabilizer_r0():
@@ -171,13 +188,28 @@ def test_a_integrality_sweep(n, ell):
     assert all(not isinstance(x, Fraction) for x in a)
 
 
-def test_closed_form_indices_match_enumeration():
-    for n, ell in [(1, 3), (2, 2), (2, 3)]:
-        ctx = HeckeContext(n, ell)
-        a1, c1 = a_coefficients(ctx, index_source="enumeration")
-        a2, c2 = a_coefficients(ctx, index_source="closed_form")
+def test_closed_form_indices_match_enumeration(monkeypatch):
+    cases = [(1, 3), (2, 2), (2, 3)]
+    enumerated = [a_coefficients(HeckeContext(n, ell)) for n, ell in cases]
+    monkeypatch.setattr(hecke, "_feasible", lambda ctx: False)
+    for (n, ell), (a1, c1) in zip(cases, enumerated):
+        a2, c2 = a_coefficients(HeckeContext(n, ell))
+        assert (c1["index_source"], c2["index_source"]) == ("enumeration", "closed_form")
         assert a1 == a2
         assert [r["index_K_V1r"] for r in c1["rows"]] == [r["index_K_V1r"] for r in c2["rows"]]
+
+
+# (n, ell) with ell^(n^2) <= 81: the derived nu-image against brute force
+NU_CELLS = [(n, ell) for n in (1, 2, 3) for ell in (2, 3, 5, 7) if ell ** (n * n) <= 81]
+
+
+@pytest.mark.parametrize("n,ell", NU_CELLS)
+def test_nu_image_matches_bruteforce_stabilizer(n, ell):
+    ctx = HeckeContext(n, ell)
+    for r in range(n + 1):
+        want = ref_nu_image(r, n, ell)
+        assert hecke._nu_image(r, n, ell) == want, r
+        assert orbit_stabilizer(r, ctx).certificate["nu_image"] == sorted(want)
 
 
 def test_flag_orbit_n1_ell3():
@@ -194,6 +226,15 @@ def test_flag_orbit_grid(n, ell):
     assert cert["pass"], cert
     assert cert["orbit_equals_gl_n"]
     assert cert["stabilizer_is_diagonal"]
+
+
+def test_flag_orbit_rejects_short_orbit(monkeypatch):
+    # without generators the orbit of [u] is the point itself, not |GL_1(F_3)| = 2
+    monkeypatch.setattr(hecke, "gl_generators", lambda n, ell: [])
+    cert = flag_orbit_check(HeckeContext(1, 3))
+    assert cert["stabilizer_is_diagonal"]
+    assert cert["orbit_size"] == 1 and not cert["orbit_equals_gl_n"]
+    assert cert["pass"] is False
 
 
 def test_iwahori_r1_p2():
@@ -322,7 +363,7 @@ def test_coset_witness_determinant_identity(n, ell, m):
     ctx = HeckeContext(n, ell)
     for X, U, V, r in _witnesses(n, ell, m):
         k_mat, A, B, _gX = ref_reduction_element(X, U, V, r, m, ctx)
-        assert hecke._det_fraction(k_mat) == mat_det(A) * mat_det(B), X
+        assert ref_det(k_mat) == mat_det(A) * mat_det(B), X
 
 
 @pytest.mark.parametrize("n,ell,m", COSET_CELLS)
