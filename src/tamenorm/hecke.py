@@ -270,26 +270,7 @@ def orbit_stabilizer(r, ctx):
         raise ValueError("need 0 <= r <= n")
     if not _feasible(ctx):
         raise InfeasibleError(f"ell^(n^2) = {ell ** (n * n)} exceeds the orbit bound")
-    Xr = x_r_matrix(r, n)
-
-    gens = list(gl_generators(n, ell))
-    gens += [inv_mod_matrix(g, ell) for g in gens]
-
-    def mmul(A, B):
-        return tuple(
-            tuple(sum(A[i][t] * B[t][j] for t in range(n)) % ell for j in range(n))
-            for i in range(n)
-        )
-
-    orbit = {Xr}
-    frontier = [Xr]
-    while frontier:
-        M = frontier.pop()
-        for g in gens:
-            for Mn in (mmul(g, M), mmul(M, g)):
-                if Mn not in orbit:
-                    orbit.add(Mn)
-                    frontier.append(Mn)
+    orbit = _orbit(r, n, ell)
 
     # the orbit is the rank-r stratum iff it lies inside it and has its size
     ranks = _rank_table(n, ell)
@@ -325,6 +306,62 @@ def orbit_stabilizer(r, ctx):
         index_K_V1r=orbit_size * nu_order,
         certificate=cert,
     )
+
+
+def _orbit(r, n, ell):
+    """The GL_n x GL_n orbit of X_r in M_n(F_ell), grown by BFS on row codes.
+
+    A matrix is held as the tuple of its n row codes, a row v coded as
+    sum_j v_j ell^(n-1-j) (its index in `product(range(ell), repeat=n)`).
+    M g acts row by row, so right multiplication by a generator is n lookups
+    in a table over the ell^n row vectors.  Row i of g M is the combination
+    sum_t g_it M_t, built from a scaling table per entry g_it not in {0, 1}
+    and, if some row of g has two nonzero entries (only for n >= 2), one
+    ell^(2n) addition table; no table exceeds the ell^(n^2) matrix space.
+    Returned as tuples of tuples, decoded through the same vector list.
+    """
+    vecs = list(product(range(ell), repeat=n))
+    size = len(vecs)
+
+    def code(v):
+        c = 0
+        for x in v:
+            c = c * ell + x % ell
+        return c
+
+    gens = list(gl_generators(n, ell))
+    gens += [inv_mod_matrix(g, ell) for g in gens]
+    scalars = {a for g in gens for row in g for a in row} - {0, 1}
+    scaled = {a: [code([a * x for x in v]) for v in vecs] for a in scalars}
+    rights = [[code([sum(v[t] * g[t][j] for t in range(n)) for j in range(n)]) for v in vecs]
+              for g in gens]
+    # row i of g M: (t, scaling table, None for g_it = 1) over the nonzero g_it
+    lefts = [[[(t, scaled.get(a)) for t, a in enumerate(row) if a] for row in g] for g in gens]
+    add = None
+    if any(len(terms) > 1 for recipe in lefts for terms in recipe):
+        add = [code([x + y for x, y in zip(v, w)]) for v in vecs for w in vecs]
+
+    def left(recipe, M):
+        out = []
+        for terms in recipe:
+            acc = None
+            for t, tab in terms:
+                c = M[t] if tab is None else tab[M[t]]
+                acc = c if acc is None else add[acc * size + c]
+            out.append(acc)
+        return tuple(out)
+
+    start = tuple(code(row) for row in x_r_matrix(r, n))
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        M = frontier.pop()
+        for right, recipe in zip(rights, lefts):
+            for Mn in (left(recipe, M), tuple(map(right.__getitem__, M))):
+                if Mn not in orbit:
+                    orbit.add(Mn)
+                    frontier.append(Mn)
+    return {tuple(vecs[c] for c in M) for M in orbit}
 
 
 @lru_cache(maxsize=1)
@@ -403,31 +440,6 @@ def a_coefficients(ctx):
         "first_failure": None if ok and boundary else {"rows": rows},
     }
     return a, cert
-
-
-def certify_index_rule(max_n=3, ells=(2, 3)):
-    """Check the enumerated orbit data against the closed-form index rule.
-
-    At every feasible (n, ell, r) the orbit certificate must pass and the
-    nu-image order must be the rule used beyond enumeration (ell - 1 for
-    r < n, 1 at r = n).
-    """
-    results = []
-    ok = True
-    for n in range(1, max_n + 1):
-        for ell in ells:
-            ctx = HeckeContext(n, ell)
-            if not _feasible(ctx):
-                continue
-            for r in range(n + 1):
-                rep = orbit_stabilizer(r, ctx)
-                want = (ell - 1) if r < n else 1
-                good = rep.nu_image_order == want and rep.certificate["pass"]
-                ok = ok and good
-                results.append({"n": n, "ell": ell, "r": r,
-                                "nu_image_order": rep.nu_image_order,
-                                "rule": want, "pass": good})
-    return {"identity": "nu_index_rule", "cases": results, "pass": ok}
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,20 @@ measure identity that pins down the lambda coefficients of module `qcomb`.
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 
 from . import qcomb
 from .matrices import (
     ell_normalize,
     is_prime,
-    smith_ell_exponents,
+    smith_ell_exponents_k,
     v_ell,
 )
 
 DEFAULT_N_BOUND = 4
 DEFAULT_ELL_BOUND = 7
+MAX_DEPTH = 6               # largest invariant exponent an enumeration visits
+MAX_CANDIDATES = 10 ** 6    # HNF candidates a verification may enumerate
 
 
 class BoundExceeded(ValueError):
@@ -89,10 +92,8 @@ class LatticeClass:
         return LatticeClass.from_diag_exponents([1] * m + [0] * (n - m), ell)
 
     def index_valuation(self):
-        v = 0
-        for i in range(self.n):
-            v += v_ell(self.basis[i][i], self.ell)
-        return v
+        """v_ell [Z^n : L], the valuation of the triangular basis's diagonal product."""
+        return v_ell(prod(self.basis[i][i] for i in range(self.n)), self.ell)
 
     def __eq__(self, other):
         return (
@@ -110,8 +111,12 @@ class LatticeClass:
 
 
 def relative_position(L):
-    """inv(L): sorted ell-adic elementary divisor exponents, largest first."""
-    exps = smith_ell_exponents(L.basis, L.ell)
+    """inv(L): sorted ell-adic elementary divisor exponents, largest first.
+
+    The basis is triangular, so v_ell(det) is the index valuation read off
+    its diagonal.
+    """
+    exps = smith_ell_exponents_k(L.basis, L.ell, L.index_valuation())
     return InvariantVec(tuple(sorted(exps, reverse=True)))
 
 
@@ -307,16 +312,42 @@ def _is_canonical_hnf(basis, ell):
     return True
 
 
+def _column_counts(n, ell, depth):
+    """HNF choices per column: column j has j entries above its diagonal
+    ell^e, each in [0, ell^e), so sum_{e <= depth} ell^(j e) of them."""
+    for j in range(n):
+        yield sum(ell ** (j * e) for e in range(depth + 1))
+
+
+class _Sublattices:
+    """The canonical LatticeClass with HNF diagonal exponents <= depth, lazily.
+
+    Iterating builds one candidate at a time; len() is the closed-form count
+    prod_j sum_{e <= depth} ell^(j e) of `_hnf_candidates`.
+    """
+
+    __slots__ = ("n", "ell", "depth")
+
+    def __init__(self, n, ell, depth):
+        self.n, self.ell, self.depth = n, ell, depth
+
+    def __len__(self):
+        return prod(_column_counts(self.n, self.ell, self.depth))
+
+    def __iter__(self):
+        n, ell = self.n, self.ell
+        for basis in _hnf_candidates(n, ell, self.depth):
+            assert _is_canonical_hnf(basis, ell)
+            yield LatticeClass(ell, n, basis)
+
+
 def sublattices_up_to_depth(n, ell, depth):
-    """All LatticeClass with HNF diagonal exponents <= depth (canonical forms)."""
-    out = []
-    for basis in _hnf_candidates(n, ell, depth):
-        assert _is_canonical_hnf(basis, ell)
-        out.append(LatticeClass(ell, n, basis))
-    return out
+    """All LatticeClass with HNF diagonal exponents <= depth (canonical forms),
+    as a sized iterable that enumerates them as it is iterated."""
+    return _Sublattices(n, ell, depth)
 
 
-def enumerate_sublattices(nu, of, depth_bound=6):
+def enumerate_sublattices(nu, of, depth_bound=MAX_DEPTH):
     """Number of sublattices of `of` whose position relative to Z^n is nu."""
     if isinstance(nu, InvariantVec):
         nu = tuple(nu.exponents)
@@ -370,7 +401,7 @@ def verify_inclusion_exclusion(n, ell, depth):
     and the semilattice compatibility in poset form: L' below join(L1, L2)
     iff L' below L1 and L' below L2, over all member pairs.
     """
-    _check_depth(depth)
+    _check_request(n, ell, depth)
     members = enumerate_X_ge1(n, ell)
     M = len(members)
     w, n_chains = _chain_weights(members)
@@ -432,7 +463,7 @@ def verify_measure_identity(n, ell, depth):
     This is the identity defining the lambda coefficients, applied to the
     bi-invariant test functions that span all right-invariant ones.
     """
-    _check_depth(depth)
+    _check_request(n, ell, depth)
     lam = qcomb.lambda_coefficients(qcomb.QCombContext(n, ell))
     t_lattices = [LatticeClass.minimal_vector_lattice(m, n, ell) for m in range(1, n + 1)]
 
@@ -488,9 +519,23 @@ def solve_lambda_from_counts(n, ell):
     return lam
 
 
-def _check_depth(depth):
+def _check_request(n, ell, depth):
+    """Refuse a verification that checks nothing or exceeds desk scale, before
+    anything is enumerated."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if ell < 2:
+        raise ValueError(f"ell must be prime, got {ell}")
+    if depth > MAX_DEPTH:
+        raise BoundExceeded(f"depth {depth} exceeds bound {MAX_DEPTH}")
+    count = 1
+    for c in _column_counts(n, ell, depth):
+        count *= c
+        if count > MAX_CANDIDATES:
+            raise BoundExceeded(f"rank {n}, ell = {ell}, depth {depth}: more than "
+                                f"{MAX_CANDIDATES} HNF candidates")
 
 
 def _cert(identity, n, ell, depth, cases, ok, failure, extra=None):

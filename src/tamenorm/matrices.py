@@ -137,31 +137,51 @@ def ell_normalize(rows, ell):
 def smith_ell_exponents(M, ell):
     """ell-exponents of the elementary divisors of a nonsingular integer matrix.
 
-    Elimination over Z_(ell) modulo ell^(k+1), k = v_ell(det M): pivot on an
-    entry of least valuation, clear the pivot column below it by unimodular
-    row operations (scale the row by the pivot's ell-unit part, subtract an
+    k = v_ell(det M) comes from a Bareiss determinant; the elimination is
+    `smith_ell_exponents_k`.  Returned weakly increasing.
+    """
+    det = mat_det(M)
+    if det == 0:
+        raise ValueError("singular matrix")
+    return smith_ell_exponents_k(M, ell, v_ell(det, ell))
+
+
+def smith_ell_exponents_k(M, ell, k):
+    """The ell-exponents of the elementary divisors of M, given k = v_ell(det M).
+
+    Elimination over Z_(ell) modulo ell^(k+1): pivot on an entry of least
+    valuation (the first ell-unit in row-major order if there is one, which
+    ends the search), clear the pivot column below it by unimodular row
+    operations (scale the row by the pivot's ell-unit part, subtract an
     integer multiple of the pivot row) and record the pivot valuation.  Every
     elementary divisor divides ell^k, so nothing is lost modulo ell^(k+1),
     and the pivot row needs no clearing: its entries have valuation at least
     the pivot's.  Returned weakly increasing.
     """
     n = len(M)
-    det = mat_det(M)
-    if det == 0:
-        raise ValueError("singular matrix")
-    k = v_ell(det, ell)
     if k == 0:
         return (0,) * n
     q = ell ** (k + 1)
     A = [[x % q for x in row] for row in M]
     exps = []
     for t in range(n):
-        v, i, j = min((_valuation(A[i][j], ell), i, j)
-                      for i in range(t, n) for j in range(t, n) if A[i][j])
-        A[t], A[i] = A[i], A[t]
-        if j != t:
+        v = None
+        for i in range(t, n):
+            row = A[i]
+            for j in range(t, n):
+                x = row[j]
+                if x:
+                    w = _valuation(x, ell)
+                    if v is None or w < v:
+                        v, pi, pj = w, i, j
+                        if w == 0:
+                            break
+            if v == 0:
+                break
+        A[t], A[pi] = A[pi], A[t]
+        if pj != t:
             for row in A:
-                row[t], row[j] = row[j], row[t]
+                row[t], row[pj] = row[pj], row[t]
         piv = A[t]
         pv = ell ** v
         unit = piv[t] // pv

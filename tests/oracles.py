@@ -24,7 +24,13 @@ from math import gcd, lcm, prod
 
 from tamenorm import hecke
 from tamenorm.lattice import LatticeClass
-from tamenorm.matrices import all_matrices_mod, ell_normalize, inv_mod_matrix, v_ell
+from tamenorm.matrices import (
+    all_matrices_mod,
+    ell_normalize,
+    gl_generators,
+    inv_mod_matrix,
+    v_ell,
+)
 
 
 def all_vectors(n, q):
@@ -570,6 +576,30 @@ def ref_nu_image(r, n, ell):
             if AX == ref_mat_mul(Xr, B):
                 image.add(pow(dA, -1, ell) * dB % ell)
     return image
+
+
+def ref_orbit(r, n, ell):
+    """The GL_n x GL_n orbit of X_r by BFS with full n x n products, as first written."""
+    Xr = hecke.x_r_matrix(r, n)
+    gens = list(gl_generators(n, ell))
+    gens += [inv_mod_matrix(g, ell) for g in gens]
+
+    def mmul(A, B):
+        return tuple(
+            tuple(sum(A[i][t] * B[t][j] for t in range(n)) % ell for j in range(n))
+            for i in range(n)
+        )
+
+    orbit = {Xr}
+    frontier = [Xr]
+    while frontier:
+        M = frontier.pop()
+        for g in gens:
+            for Mn in (mmul(g, M), mmul(M, g)):
+                if Mn not in orbit:
+                    orbit.add(Mn)
+                    frontier.append(Mn)
+    return orbit
 
 
 # ---------------------------------------------------------------------------

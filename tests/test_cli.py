@@ -123,6 +123,36 @@ def test_chi_order_beyond_bound_is_config_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--n", "4", "--ell", "7", "--depth", "2"], "HNF candidates"),   # 4.9e10 of them
+    (["--n", "3", "--ell", "7", "--depth", "4"], "HNF candidates"),   # 8.2e10 of them
+    (["--n", "2", "--ell", "3", "--depth", "7"], "depth 7 exceeds bound"),
+    (["--n", "0", "--ell", "3", "--depth", "1"], "n must be >= 1"),
+])
+def test_lattice_request_beyond_bounds_is_config_error(tmp_path, args, message):
+    # refused before anything is enumerated, so well inside the timeout
+    out = tmp_path / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamenorm.cli", "verify-incl-excl", *args, "--out", str(out)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error: " in proc.stderr and message in proc.stderr
+    assert not out.exists()
+
+
+def test_coeffs_large_prime_golden_certificate(tmp_path):
+    # n = 1 at ell = 24989 enumerates orbits of up to ell - 1 matrices
+    out = tmp_path / "cert.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tamenorm.cli", "coeffs", "--n", "1", "--ell", "24989",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN / "coeffs_n1_ell24989.json").read_bytes()
+
+
 def test_coeffs_certificate_and_csv(tmp_path):
     code, cert = run_inproc(["coeffs", "--n", "2", "--ell", "2"], tmp_path)
     assert code == 0

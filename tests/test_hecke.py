@@ -7,6 +7,7 @@ from oracles import (
     ref_g_r,
     ref_in_level,
     ref_nu_image,
+    ref_orbit,
     ref_reduction_element,
     ref_same_coset,
     ref_serialize,
@@ -19,14 +20,13 @@ from tamenorm.hecke import (
     InfeasibleError,
     a_coefficients,
     assemble_phi,
-    certify_index_rule,
     flag_orbit_check,
     iwahori_coset_check,
     orbit_stabilizer,
     reduce_um_to_psi,
     serialize_cosets,
 )
-from tamenorm.matrices import all_matrices_mod, mat_det, rank_mod, smith_witness_mod
+from tamenorm.matrices import all_matrices_mod, gl_order, mat_det, rank_mod, smith_witness_mod
 from tamenorm.qcomb import QCombContext, lambda_coefficients, rank_count
 
 # (n, ell, m) with ell^(mn) <= 81: every U_m summand is checked against the
@@ -152,7 +152,19 @@ def test_orbit_sizes_match_rank_counts(n, ell):
         rep = orbit_stabilizer(r, ctx)
         assert rep.certificate["pass"]
         assert rep.orbit_size == rank_count(r, n, qctx)
-        assert rep.orbit_size * rep.stabilizer_order == rep.certificate["orbit_size"] * rep.stabilizer_order
+        assert rep.orbit_size * rep.stabilizer_order == gl_order(n, ell) ** 2
+
+
+def test_orbit_certificate_rejects_matrix_of_other_rank(monkeypatch):
+    # an orbit of the right size with one rank-2 matrix in it fails the rank table
+    orbit = set(hecke._orbit(1, 2, 3))
+    orbit.remove(((1, 0), (0, 0)))
+    orbit.add(((1, 0), (0, 1)))
+    monkeypatch.setattr(hecke, "_orbit", lambda r, n, ell: orbit)
+    cert = orbit_stabilizer(1, HeckeContext(2, 3)).certificate
+    assert cert["orbit_matches_formula"]
+    assert not cert["orbit_equals_rank_stratum"]
+    assert cert["pass"] is False
 
 
 def test_orbit_stabilizer_infeasible():
@@ -161,8 +173,24 @@ def test_orbit_stabilizer_infeasible():
 
 
 def test_index_rule_certificate():
-    cert = certify_index_rule(max_n=2, ells=(2, 3))
-    assert cert["pass"]
+    # the rule a_coefficients uses beyond enumeration: nu-order ell - 1 for
+    # r < n and 1 at r = n
+    for n in (1, 2):
+        for ell in (2, 3):
+            for r in range(n + 1):
+                rep = orbit_stabilizer(r, HeckeContext(n, ell))
+                assert rep.nu_image_order == (ell - 1 if r < n else 1), (n, ell, r)
+                assert rep.certificate["pass"], (n, ell, r)
+
+
+# (n, ell) with ell^(n^2) <= 2401: the row-code BFS against full products
+ORBIT_CELLS = [(n, ell) for n in (1, 2, 3) for ell in (2, 3, 5, 7) if ell ** (n * n) <= 2401]
+
+
+@pytest.mark.parametrize("n,ell", ORBIT_CELLS)
+def test_orbit_matches_matrix_product_oracle(n, ell):
+    for r in range(n + 1):
+        assert hecke._orbit(r, n, ell) == ref_orbit(r, n, ell), r
 
 
 def test_a_coefficients_n1():

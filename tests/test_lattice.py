@@ -219,8 +219,10 @@ def test_enumerate_sublattices_depth_bound():
 
 @pytest.mark.parametrize("n,ell", ORACLE_CELLS)
 def test_relative_position_matches_minor_oracle(n, ell):
+    # the sweeps' path: k = v_ell(det) read off the HNF diagonal
     for L in sublattices_up_to_depth(n, ell, 2):
-        assert smith_ell_exponents(L.basis, ell) == ref_smith_ell_exponents(L.basis, ell), L
+        want = tuple(sorted(ref_smith_ell_exponents(L.basis, ell), reverse=True))
+        assert relative_position(L).exponents == want, L
 
 
 def test_smith_exponents_match_minor_oracle_on_random_matrices():
@@ -243,11 +245,11 @@ def test_smith_exponents_match_minor_oracle_on_random_matrices():
 
 @pytest.mark.parametrize("n,ell", ORACLE_CELLS)
 def test_contains_matches_fraction_oracle(n, ell):
-    shallow = sublattices_up_to_depth(n, ell, 1)
+    shallow = list(sublattices_up_to_depth(n, ell, 1))
     for a in shallow:
         for b in shallow:
             assert contains(a, b) == ref_contains(a, b), (a, b)
-    deep = sublattices_up_to_depth(n, ell, 2)
+    deep = list(sublattices_up_to_depth(n, ell, 2))
     rng = random.Random(n * 100 + ell)
     for _ in range(300):
         a, b = rng.choice(deep), rng.choice(deep)
@@ -260,7 +262,7 @@ def test_join_matches_fraction_oracle(n, ell):
     for a in members:
         for b in members:
             assert join(a, b) == ref_join(a, b), (a, b)
-    deep = sublattices_up_to_depth(n, ell, 2)
+    deep = list(sublattices_up_to_depth(n, ell, 2))
     rng = random.Random(n * 1000 + ell)
     for _ in range(200):
         a, b = rng.choice(deep), rng.choice(deep)
@@ -272,6 +274,36 @@ def test_join_matches_fraction_oracle(n, ell):
 def test_verifiers_reject_depth_below_one(verify, depth):
     with pytest.raises(ValueError):
         verify(2, 3, depth)
+
+
+@pytest.mark.parametrize("n,ell,depth", [(1, 2, 3), (2, 3, 2), (3, 2, 2), (3, 5, 2), (4, 2, 1)])
+def test_candidate_count_is_closed_form(n, ell, depth):
+    # sum over diagonal exponents e of prod_{i<j} ell^(e_j)
+    cands = sublattices_up_to_depth(n, ell, depth)
+    assert len(cands) == sum(1 for _ in cands)
+
+
+@pytest.mark.parametrize("verify", [verify_inclusion_exclusion, verify_measure_identity])
+@pytest.mark.parametrize("n,ell,depth", [(4, 3, 2), (4, 7, 2), (3, 7, 4), (2, 2, 7), (1, 2, 10 ** 9)])
+def test_verifiers_refuse_beyond_bounds(verify, n, ell, depth):
+    with pytest.raises(BoundExceeded):
+        verify(n, ell, depth)
+
+
+def test_candidate_cap_admits_documented_cells():
+    # rank 4 at depth 1 and rank 3 at depth 2, up to ell = 7, and every grid
+    counts = {(4, 7, 1): 275200, (3, 7, 2): 419121, (3, 5, 2): 60543}
+    for (n, ell, depth), count in counts.items():
+        assert len(sublattices_up_to_depth(n, ell, depth)) == count
+        lattice._check_request(n, ell, depth)
+
+
+@pytest.mark.parametrize("verify", [verify_inclusion_exclusion, verify_measure_identity])
+@pytest.mark.parametrize("n,ell,message", [(0, 3, "n must be >= 1"), (-1, 3, "n must be >= 1"),
+                                           (2, 1, "ell must be prime")])
+def test_verifiers_reject_degenerate_rank_and_prime(verify, n, ell, message):
+    with pytest.raises(ValueError, match=message):
+        verify(n, ell, 1)
 
 
 def test_certificate_never_passes_on_zero_cases():
