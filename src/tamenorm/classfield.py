@@ -18,7 +18,7 @@ from .exactnum import ExactScalar
 from .fingroup import FiniteGroup
 from .matrices import hnf_rows, is_prime
 
-DEFAULT_DISC_BOUND = 10 ** 6
+MAX_DISC = 10 ** 6  # largest |D| = |d_E| m^2 of a ring class group
 
 
 def kronecker(d, p):
@@ -252,14 +252,14 @@ class FormClassGroup(FiniteGroup):
     law is a lookup in the Cayley table of Gauss composition.
     """
 
-    def __init__(self, d_E, conductor, disc_bound=DEFAULT_DISC_BOUND):
+    def __init__(self, d_E, conductor):
         if not is_fundamental_discriminant(d_E):
             raise ValueError(f"{d_E} is not a fundamental discriminant < 0")
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         D = d_E * conductor * conductor
-        if -D > disc_bound:
-            raise ValueError(f"|D| = {-D} exceeds the bound {disc_bound}")
+        if -D > MAX_DISC:
+            raise ValueError(f"|D| = {-D} exceeds the bound {MAX_DISC}")
         self.d_E = d_E
         self.conductor = conductor
         self.discriminant = D
@@ -356,8 +356,8 @@ def _class_number_formula(d_E, m, h_fund):
     return num, den
 
 
-def ring_class_group(d_E, m, disc_bound=DEFAULT_DISC_BOUND):
-    return FormClassGroup(d_E, m, disc_bound)
+def ring_class_group(d_E, m):
+    return FormClassGroup(d_E, m)
 
 
 def frobenius_class(cl, ell):
@@ -432,11 +432,13 @@ class TowerStep:
     degree: int
 
     @staticmethod
-    def build(d_E, m, ell, disc_bound=DEFAULT_DISC_BOUND):
+    def build(d_E, m, ell):
+        if not is_prime(ell):
+            raise ValueError(f"ell must be prime, got {ell}")
         if kronecker(d_E, ell) != 1 or m % ell == 0:
             raise ValueError("ell must be split and coprime to the conductor")
-        small = ring_class_group(d_E, m, disc_bound)
-        big = ring_class_group(d_E, m * ell, disc_bound)
+        small = ring_class_group(d_E, m)
+        big = ring_class_group(d_E, m * ell)
         if big.order % small.order:
             raise ArithmeticError("class numbers do not divide")
         return TowerStep(d_E, m, ell, big.order // small.order), small, big
@@ -473,12 +475,14 @@ class Character:
         return hash((self.k, self.exps))
 
 
-def character_group(cl, ell=2):
+def character_group(cl):
     """All characters of cl valued in <zeta_k>, k the group exponent.
 
     Characters are extended multiplicatively from a generating set, with every
     candidate assignment closed and checked for consistency; the count must be
     |cl| (duality), and orthogonality is verified exactly in the scalar ring.
+    The sums involve only zeta_k, so any base prime gives the same answer;
+    they are formed over 2.
     """
     k = cl.exponent
     gens = cl.generators()
@@ -509,9 +513,9 @@ def character_group(cl, ell=2):
     # orthogonality: sum over the group of chi(g) conj(chi'(g)) is 0 or |cl|
     for chi in chars:
         for chi2 in chars:
-            total = ExactScalar.zero(ell, 1)
+            total = ExactScalar.zero(2, 1)
             for i in range(cl.order):
-                total = total + chi.value(i, ell) * chi2.value(i, ell).conj()
+                total = total + chi.value(i, 2) * chi2.value(i, 2).conj()
             want = cl.order if chi == chi2 else 0
             if total != want:
                 raise ArithmeticError("character orthogonality failed")

@@ -13,7 +13,6 @@ import csv
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classfield, hecke, lattice, lfactor, mackey, qcomb
@@ -24,45 +23,21 @@ from .lfactor import CharacterValue, SatakeParams
 SCHEMA = "trc-1"
 
 
-@dataclass
-class RunConfig:
-    """Echoed into every certificate; all bounds desk-scale."""
+def _certificate(command, inputs, results, stages):
+    """The trc-1 certificate; `stages` is the ordered (stage, pass) list.
 
-    command: str
-    n: int = 1
-    ell: int = 5
-    disc: int = -4
-    conductor: int = 1
-    chi_order: int = 1
-    depth: int = 2
-    alpha: tuple = ()
-    group: str = "S3"
-    model: str = "G"
-    samples: int = 100
-    seed: int = 0
-    out: str = ""
-    perturb_b1: bool = False
-    generator_file: str = ""
-
-
-@dataclass
-class Certificate:
-    command: str
-    inputs: dict
-    results: dict
-    ok: bool
-    first_failure: dict | None = None
-    schema: str = SCHEMA
-
-    def to_json_dict(self):
-        return {
-            "schema": self.schema,
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "pass": self.ok,
-            "first_failure": self.first_failure,
-        }
+    It passes when every stage passes, and `first_failure` names the first
+    stage that does not.
+    """
+    failed = next((stage for stage, ok in stages if not ok), None)
+    return {
+        "schema": SCHEMA,
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "pass": failed is None,
+        "first_failure": None if failed is None else {"stage": failed},
+    }
 
 
 def _jsonable(x):
@@ -77,29 +52,30 @@ def _jsonable(x):
     return x
 
 
-def emit(cfg, cert):
-    """Write the JSON certificate (and CSV tables, if any) and return the exit code."""
-    blob = json.dumps(_jsonable(cert.to_json_dict()), sort_keys=True, indent=2)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def emit(out, cert):
+    """Write the JSON certificate (and CSV tables, if any) to `out`, or to
+    stdout if `out` is empty, and return the exit code."""
+    blob = json.dumps(_jsonable(cert), sort_keys=True, indent=2)
+    if out:
+        with open(out, "w") as fh:
             fh.write(blob + "\n")
-        rows = cert.results.get("csv_rows")
+        rows = cert["results"].get("csv_rows")
         if rows:
-            path = cfg.out + ".csv" if not cfg.out.endswith(".json") else cfg.out[:-5] + ".csv"
+            path = out + ".csv" if not out.endswith(".json") else out[:-5] + ".csv"
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(rows[0])
                 writer.writerows(rows[1:])
     else:
         sys.stdout.write(blob + "\n")
-    return 0 if cert.ok else 1
+    return 0 if cert["pass"] else 1
 
 
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
-def run_coeffs(cfg):
-    ctx = hecke.HeckeContext(cfg.n, cfg.ell)
+def run_coeffs(args):
+    ctx = hecke.HeckeContext(args.n, args.ell)
     table = qcomb.b_coefficients(ctx.qctx)
     cong = qcomb.congruence_certificates(ctx.qctx)
     phi, phi_cert = hecke.assemble_phi(ctx)
@@ -107,10 +83,6 @@ def run_coeffs(cfg):
     rows = [["r", "b_r", "a_r", "index_K_V1r", "nu_image_order"]]
     for r, row in enumerate(a_cert["rows"]):
         rows.append([r, table.b[r], row["a"], row["index_K_V1r"], row["nu_image_order"]])
-    ok = (
-        table.certificates["all_b_integral"]
-        and cong["pass"] and phi_cert["pass"] and a_cert["pass"]
-    )
     results = {
         "coefficient_table": table.to_json_dict(),
         "congruences": cong,
@@ -119,21 +91,17 @@ def run_coeffs(cfg):
         "phi": hecke.serialize_cosets(phi, ctx),
         "csv_rows": rows,
     }
-    failure = None if ok else {"stage": "coeffs"}
-    return Certificate("coeffs", _inputs(cfg, "n", "ell"), results, ok, failure)
+    ok = (table.certificates["all_b_integral"]
+          and cong["pass"] and phi_cert["pass"] and a_cert["pass"])
+    return _certificate("coeffs", _inputs(args, "n", "ell"), results, [("coeffs", ok)])
 
 
-def run_verify_incl_excl(cfg):
-    ie = lattice.verify_inclusion_exclusion(cfg.n, cfg.ell, cfg.depth)
-    mi = lattice.verify_measure_identity(cfg.n, cfg.ell, cfg.depth)
-    ok = ie["pass"] and mi["pass"]
-    return Certificate(
-        "verify-incl-excl",
-        _inputs(cfg, "n", "ell", "depth"),
-        {"inclusion_exclusion": ie, "measure_identity": mi},
-        ok,
-        None if ok else {"stage": "lattice"},
-    )
+def run_verify_incl_excl(args):
+    ie = lattice.verify_inclusion_exclusion(args.n, args.ell, args.depth)
+    mi = lattice.verify_measure_identity(args.n, args.ell, args.depth)
+    return _certificate("verify-incl-excl", _inputs(args, "n", "ell", "depth"),
+                        {"inclusion_exclusion": ie, "measure_identity": mi},
+                        [("lattice", ie["pass"] and mi["pass"])])
 
 
 def _load_generator_file(path):
@@ -151,22 +119,21 @@ def _load_generator_file(path):
     return generators, modulus, name
 
 
-def run_mackey_test(cfg):
-    rng = random.Random(cfg.seed)
-    if cfg.generator_file:
-        generators, modulus, cfg.group = _load_generator_file(cfg.generator_file)
-        F = mackey.model_from_generators(generators, modulus, which=cfg.model,
-                                         name=cfg.group)
+def run_mackey_test(args):
+    rng = random.Random(args.seed)
+    if args.generator_file:
+        generators, modulus, args.group = _load_generator_file(args.generator_file)
+        F = mackey.model_from_generators(generators, modulus, which=args.model,
+                                         name=args.group)
     else:
-        F = mackey.catalog_model(cfg.group, cfg.model)
+        F = mackey.catalog_model(args.group, args.model)
     G = F.group
     levels = list(F.ctx.upsilon)
     results = {"model": F.name, "group_order": len(G)}
 
-    results["c_axioms"] = mackey.check_c_axioms(F, max(cfg.samples // 4, 8), rng)
+    results["c_axioms"] = mackey.check_c_axioms(F, max(args.samples // 4, 8), rng)
     galois_ok = cartesian_ok = True
-    galois_cases = cartesian_cases = 0
-    for _ in range(cfg.samples):
+    for _ in range(args.samples):
         K = levels[rng.randrange(len(levels))]
         subs = [L for L in levels if L <= K]
         L = subs[rng.randrange(len(subs))]
@@ -175,14 +142,12 @@ def run_mackey_test(cfg):
         c_cert = mackey.check_cartesian_axiom(F, K, L, Lp)
         galois_ok = galois_ok and g_cert["pass"]
         cartesian_ok = cartesian_ok and c_cert["pass"]
-        galois_cases += 1
-        cartesian_cases += 1
-    results["galois"] = {"pass": galois_ok, "cases_checked": galois_cases}
-    results["cartesian"] = {"pass": cartesian_ok, "cases_checked": cartesian_cases}
+    results["galois"] = {"pass": galois_ok, "cases_checked": args.samples}
+    results["cartesian"] = {"pass": cartesian_ok, "cases_checked": args.samples}
 
     conv_ok = True
     expansion_ok = True
-    for _ in range(cfg.samples):
+    for _ in range(args.samples):
         K = levels[rng.randrange(len(levels))]
         Kp = levels[rng.randrange(len(levels))]
         Kpp = levels[rng.randrange(len(levels))]
@@ -191,13 +156,13 @@ def run_mackey_test(cfg):
         conv_ok = conv_ok and mackey.check_convolution(F, K, Kp, Kpp, sigma, tau)["pass"]
         ok_exp, _ = mackey.check_coset_expansion(F, K, Kp, sigma)
         expansion_ok = expansion_ok and ok_exp
-    results["hecke_convolution"] = {"pass": conv_ok, "cases_checked": cfg.samples}
-    results["hecke_coset_expansion"] = {"pass": expansion_ok, "cases_checked": cfg.samples}
+    results["hecke_convolution"] = {"pass": conv_ok, "cases_checked": args.samples}
+    results["hecke_coset_expansion"] = {"pass": expansion_ok, "cases_checked": args.samples}
 
     H = frozenset(G.elements)
     push_ok = True
     push_cases = 0
-    for _ in range(cfg.samples // 4 + 5):
+    for _ in range(args.samples // 4 + 5):
         K = levels[rng.randrange(len(levels))]
         normals = [L for L in levels if L <= K and G.is_normal(L, K)]
         L = normals[rng.randrange(len(normals))]
@@ -217,18 +182,11 @@ def run_mackey_test(cfg):
                            "the genuinely infinite direct limit is not probed",
     }
 
-    all_ok = all(
-        results[k]["pass"]
-        for k in ("c_axioms", "galois", "cartesian", "hecke_convolution",
-                  "hecke_coset_expansion", "completed_pushforward")
-    )
-    return Certificate(
-        "mackey-test",
-        _inputs(cfg, "group", "model", "samples", "seed"),
-        results,
-        all_ok,
-        None if all_ok else {"stage": "mackey"},
-    )
+    ok = all(results[k]["pass"] for k in ("c_axioms", "galois", "cartesian",
+                                          "hecke_convolution", "hecke_coset_expansion",
+                                          "completed_pushforward"))
+    return _certificate("mackey-test", _inputs(args, "group", "model", "samples", "seed"),
+                        results, [("mackey", ok)])
 
 
 def _parse_alpha(strings, n, ell):
@@ -241,16 +199,15 @@ def _parse_alpha(strings, n, ell):
     return SatakeParams.from_root_exponents(n, ell, pairs)
 
 
-def run_lfactor(cfg):
-    sp = _parse_alpha(cfg.alpha, cfg.n, cfg.ell)
-    chi = CharacterValue.primitive(cfg.ell, cfg.chi_order)
+def run_lfactor(args):
+    sp = _parse_alpha(args.alpha, args.n, args.ell)
+    chi = CharacterValue.primitive(args.ell, args.chi_order)
     central = lfactor.check_central_value(sp, chi)
     fp = lfactor.frob_poly_from_satake(sp)
-    s_pow = ExactScalar.sqrt_ell(cfg.ell) ** (2 * cfg.n - 1)
+    s_pow = ExactScalar.sqrt_ell(args.ell) ** (2 * args.n - 1)
     betas = [a * s_pow for a in sp.alpha]
-    weil = lfactor.weil_weight_check(betas, cfg.n, cfg.ell)
+    weil = lfactor.weil_weight_check(betas, args.n, args.ell)
     tame = lfactor.tame_factor(sp, chi)
-    ok = central["pass"] and weil["pass"]
     results = {
         "p_lambda": fp.p_lambda.serialize(),
         "p_central": fp.p_central.serialize(),
@@ -258,51 +215,34 @@ def run_lfactor(cfg):
         "weil_weights": weil,
         "tame_factor": tame.serialize(),
     }
-    return Certificate(
-        "lfactor",
-        _inputs(cfg, "n", "ell", "alpha", "chi_order"),
-        results,
-        ok,
-        None if ok else {"stage": "lfactor"},
-    )
+    return _certificate("lfactor", _inputs(args, "n", "ell", "alpha", "chi_order"),
+                        results, [("lfactor", central["pass"] and weil["pass"])])
 
 
-def run_classgroup(cfg):
-    cl = classfield.ring_class_group(cfg.disc, cfg.conductor)
-    chars = classfield.character_group(cl, ell=2)
+def run_classgroup(args):
+    cl = classfield.ring_class_group(args.disc, args.conductor)
+    chars = classfield.character_group(cl)
     data = cl.to_json_dict()
     data["characters"] = [list(c.exps) for c in chars]
     data["character_order"] = chars[0].k if chars else 1
-    ok = data["class_number_certificate"]["pass"]
-    return Certificate(
-        "classgroup",
-        _inputs(cfg, "disc", "conductor"),
-        data,
-        ok,
-        None if ok else {"stage": "classgroup"},
-    )
+    return _certificate("classgroup", _inputs(args, "disc", "conductor"), data,
+                        [("classgroup", data["class_number_certificate"]["pass"])])
 
 
-def run_tower(cfg):
-    step, small, big = classfield.TowerStep.build(cfg.disc, cfg.conductor, cfg.ell)
+def run_tower(args):
+    step, small, big = classfield.TowerStep.build(args.disc, args.conductor, args.ell)
     mapping, cert = classfield.norm_map(big, small)
-    ok = cert["pass"]
     results = {
         "tower_step": step.to_json_dict(),
         "norm_map": cert,
         "h_small": small.order,
         "h_big": big.order,
     }
-    return Certificate(
-        "tower",
-        _inputs(cfg, "disc", "conductor", "ell"),
-        results,
-        ok,
-        None if ok else {"stage": "tower"},
-    )
+    return _certificate("tower", _inputs(args, "disc", "conductor", "ell"), results,
+                        [("tower", cert["pass"])])
 
 
-def run_norm_relation(cfg):
+def run_norm_relation(args):
     """The end-to-end tame-norm-relation certificate.
 
     (1) coefficient tables with congruences; (2) the lattice measure
@@ -312,13 +252,10 @@ def run_norm_relation(cfg):
     at the Frobenius (level m), and per character of Gal(E[ell m]/E) with
     level-raising characters evaluated on the norm-map kernel.
     """
-    n, ell, d_E, m = cfg.n, cfg.ell, cfg.disc, cfg.conductor
-    if classfield.kronecker(d_E, ell) != 1:
-        raise ValueError(f"ell = {ell} must split in the field of discriminant {d_E}")
-    if m % ell == 0 or d_E % ell == 0:
-        raise ValueError("ell must be coprime to the conductor and discriminant")
+    n, ell, d_E, m = args.n, args.ell, args.disc, args.conductor
+    _, cl_small, cl_big = classfield.TowerStep.build(d_E, m, ell)
     ctx = hecke.HeckeContext(n, ell)
-    results = {"seed": cfg.seed}
+    results = {"seed": args.seed}
 
     # (1) coefficients and congruences
     table = qcomb.b_coefficients(ctx.qctx)
@@ -330,12 +267,12 @@ def run_norm_relation(cfg):
     }
 
     # (2) measure identity
-    mi = lattice.verify_measure_identity(n, ell, cfg.depth)
+    mi = lattice.verify_measure_identity(n, ell, args.depth)
     results["step2_measure_identity"] = mi
 
     # (3) phi assembly and a coefficients (optionally perturbed: must fail)
     phi, phi_cert = hecke.assemble_phi(ctx)
-    if cfg.perturb_b1:
+    if args.perturb_b1:
         b_perturbed = list(table.b)
         b_perturbed[min(1, n)] += 1
         rows = hecke.phi_identity_rows(ctx, table, b_perturbed)
@@ -350,8 +287,6 @@ def run_norm_relation(cfg):
                             "pass": phi_cert["pass"] and a_cert["pass"]}
 
     # (4) class groups and the norm map
-    cl_small = classfield.ring_class_group(d_E, m)
-    cl_big = classfield.ring_class_group(d_E, m * ell)
     mapping, nm_cert = classfield.norm_map(cl_big, cl_small)
     results["step4_class_groups"] = {
         "small": cl_small.to_json_dict(),
@@ -361,7 +296,7 @@ def run_norm_relation(cfg):
     }
 
     # (5) L-factor decomposition
-    sp = _parse_alpha(cfg.alpha, n, ell)
+    sp = _parse_alpha(args.alpha, n, ell)
     tga = lfactor.tame_group_algebra_check(cl_small, sp, ell)
     big_chi = _big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell)
     results["step5_lfactor"] = {
@@ -370,25 +305,11 @@ def run_norm_relation(cfg):
         "pass": tga["pass"] and big_chi["pass"],
     }
 
-    all_ok = all(results[f"step{i}_{name}"]["pass"] for i, name in (
-        (1, "coefficients"), (2, "measure_identity"), (3, "phi"),
-        (4, "class_groups"), (5, "lfactor"),
-    ))
-    failure = None
-    if not all_ok:
-        for i, name in ((1, "coefficients"), (2, "measure_identity"), (3, "phi"),
-                        (4, "class_groups"), (5, "lfactor")):
-            if not results[f"step{i}_{name}"]["pass"]:
-                failure = {"stage": f"step{i}_{name}"}
-                break
-    return Certificate(
-        "norm-relation",
-        _inputs(cfg, "n", "ell", "disc", "conductor", "alpha", "depth", "seed",
-                "perturb_b1"),
-        results,
-        all_ok,
-        failure,
-    )
+    stages = [(step, cert["pass"]) for step, cert in results.items() if step != "seed"]
+    return _certificate("norm-relation",
+                        _inputs(args, "n", "ell", "disc", "conductor", "alpha", "depth",
+                                "seed", "perturb_b1"),
+                        results, stages)
 
 
 def _big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell):
@@ -403,7 +324,7 @@ def _big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell):
     fr_small_idx = cl_small.index[fr_small]
     kernel = [i for i in range(cl_big.order) if mapping[i] == cl_small.identity]
     k_gen = max(kernel, key=cl_big.element_order)
-    chars = classfield.character_group(cl_big, ell=ell)
+    chars = classfield.character_group(cl_big)
     fp = lfactor.frob_poly_from_satake(sp)
     rows = []
     ok = True
@@ -441,10 +362,10 @@ def _big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell):
     }
 
 
-def _inputs(cfg, *names):
-    out = {"seed": cfg.seed}
+def _inputs(args, *names):
+    out = {"seed": args.seed}
     for nm in names:
-        out[nm] = getattr(cfg, nm)
+        out[nm] = getattr(args, nm)
     return _jsonable(out)
 
 
@@ -537,29 +458,15 @@ DRIVERS = {
 }
 
 
-def config_from_args(args):
-    cfg = RunConfig(command=args.command)
-    for name in vars(args):
-        if hasattr(cfg, name):
-            val = getattr(args, name)
-            if name == "alpha" and val is not None:
-                val = tuple(val)
-            if val is not None:
-                setattr(cfg, name, val)
-    return cfg
-
-
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)  # argparse exits 2 on usage errors
-    cfg = config_from_args(args)
+    args = build_parser().parse_args(argv)  # argparse exits 2 on usage errors
     try:
-        cert = DRIVERS[cfg.command](cfg)
+        cert = DRIVERS[args.command](args)
     except (ValueError, OSError) as e:
         sys.stderr.write(f"configuration error: {e}\n")
         return 2
     try:
-        return emit(cfg, cert)
+        return emit(args.out, cert)
     except OSError as e:
         sys.stderr.write(f"i/o error: {e}\n")
         return 2

@@ -21,11 +21,12 @@ from itertools import product
 
 from . import qcomb
 from .matrices import (
+    BoundExceeded,
     all_matrices_mod,
     gl_elements,
     gl_generators,
     gl_order,
-    inv_mod_matrix,
+    inv_mod_matrix_q,
     is_prime,
     mat_det,
     rank_mod,
@@ -34,10 +35,6 @@ from .matrices import (
 )
 
 ORBIT_FEASIBLE_CELLS = 25000  # ell^(n^2) cap for full matrix-space enumeration
-
-
-class InfeasibleError(ValueError):
-    """An enumeration was requested beyond desk scale."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ def _verify_reduction(X, U, V, r, m, ctx):
     size = 2 * n
     # n x n integer lifts
     A = [[U[i][j] if (i < m and j < m) else int(i == j) for j in range(n)] for i in range(n)]
-    B = inv_mod_matrix(V, ell)  # B with B^{-1} = V mod ell
+    B = inv_mod_matrix_q(V, ell, 1)  # B with B^{-1} = V mod ell
     # ell h^{-1} = diag(ell A t_m^{-1}, ell B); t_m^{-1} scales columns 1..m by 1/ell
     h_inv = [[0] * size for _ in range(size)]
     for i in range(n):
@@ -269,7 +266,7 @@ def orbit_stabilizer(r, ctx):
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
     if not _feasible(ctx):
-        raise InfeasibleError(f"ell^(n^2) = {ell ** (n * n)} exceeds the orbit bound")
+        raise BoundExceeded(f"ell^(n^2) = {ell ** (n * n)} exceeds the orbit bound")
     orbit = _orbit(r, n, ell)
 
     # the orbit is the rank-r stratum iff it lies inside it and has its size
@@ -330,7 +327,7 @@ def _orbit(r, n, ell):
         return c
 
     gens = list(gl_generators(n, ell))
-    gens += [inv_mod_matrix(g, ell) for g in gens]
+    gens += [inv_mod_matrix_q(g, ell, 1) for g in gens]
     scalars = {a for g in gens for row in g for a in row} - {0, 1}
     scaled = {a: [code([a * x for x in v]) for v in vecs] for a in scalars}
     rights = [[code([sum(v[t] * g[t][j] for t in range(n)) for j in range(n)]) for v in vecs]
@@ -415,7 +412,7 @@ def a_coefficients(ctx):
             nu_order = rep.nu_image_order
             ok = ok and rep.certificate["pass"]
         else:
-            nu_order = len(_nu_image(r, n, ell))
+            nu_order = ell - 1 if r < n else 1
             index = qcomb.rank_count(r, n, ctx.qctx) * nu_order
         num = (ell - 1) * b[r]
         integral = num % index == 0
@@ -457,7 +454,7 @@ def flag_orbit_check(ctx):
     """
     n, ell = ctx.n, ctx.ell
     if gl_order(n, ell) > 20000:
-        raise InfeasibleError("flag enumeration beyond desk scale")
+        raise BoundExceeded("flag enumeration beyond desk scale")
 
     def act(rows, g):  # right action on row spans by the transpose
         if not rows:
@@ -488,7 +485,7 @@ def flag_orbit_check(ctx):
         return act(rows, gT)
 
     gens = list(gl_generators(n, ell))
-    gens += [inv_mod_matrix(g, ell) for g in gens]
+    gens += [inv_mod_matrix_q(g, ell, 1) for g in gens]
     h_gens = [block_diag(g, ident) for g in gens] + [block_diag(ident, g) for g in gens]
 
     orbit = {delta}

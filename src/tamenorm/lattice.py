@@ -18,20 +18,17 @@ from math import prod
 
 from . import qcomb
 from .matrices import (
+    BoundExceeded,
     ell_normalize,
     is_prime,
     smith_ell_exponents_k,
     v_ell,
 )
 
-DEFAULT_N_BOUND = 4
-DEFAULT_ELL_BOUND = 7
+MAX_N = 4                   # largest rank enumerate_X_ge1 visits
+MAX_ELL = 7                 # largest prime enumerate_X_ge1 visits
 MAX_DEPTH = 6               # largest invariant exponent an enumeration visits
 MAX_CANDIDATES = 10 ** 6    # HNF candidates a verification may enumerate
-
-
-class BoundExceeded(ValueError):
-    """An enumeration was requested beyond the configured desk-scale bounds."""
 
 
 @dataclass(frozen=True)
@@ -251,13 +248,13 @@ def _subspace_rrefs(n, d, ell):
             yield tuple(tuple(r) for r in M)
 
 
-def enumerate_X_ge1(n, ell, n_bound=DEFAULT_N_BOUND, ell_bound=DEFAULT_ELL_BOUND):
+def enumerate_X_ge1(n, ell):
     """All lattices L with ell Z^n <= L < Z^n, via proper subspaces of F_ell^n.
 
     A lattice of relative position t_m corresponds to the (n-m)-dimensional
     subspace L / ell Z^n.
     """
-    if n > n_bound or ell > ell_bound:
+    if n > MAX_N or ell > MAX_ELL:
         raise BoundExceeded(f"enumeration bound exceeded: n={n}, ell={ell}")
     out = []
     for d in range(n):  # proper subspaces only: Z^n itself is excluded
@@ -347,7 +344,7 @@ def sublattices_up_to_depth(n, ell, depth):
     return _Sublattices(n, ell, depth)
 
 
-def enumerate_sublattices(nu, of, depth_bound=MAX_DEPTH):
+def enumerate_sublattices(nu, of):
     """Number of sublattices of `of` whose position relative to Z^n is nu."""
     if isinstance(nu, InvariantVec):
         nu = tuple(nu.exponents)
@@ -356,8 +353,8 @@ def enumerate_sublattices(nu, of, depth_bound=MAX_DEPTH):
     if any(e < 0 for e in nu):
         raise ValueError("invariant entries must be >= 0 for sublattices of Z^n")
     depth = max(nu) if nu else 0
-    if depth > depth_bound:
-        raise BoundExceeded(f"invariant depth {depth} exceeds bound {depth_bound}")
+    if depth > MAX_DEPTH:
+        raise BoundExceeded(f"invariant depth {depth} exceeds bound {MAX_DEPTH}")
     n, ell = of.n, of.ell
     count = 0
     for L in sublattices_up_to_depth(n, ell, depth):

@@ -189,7 +189,7 @@ def tame_group_algebra_check(cl, sp, ell):
         raise ValueError("the split prime must match the Satake context")
     fr = classfield.frobenius_class(cl, ell)  # geometric orientation
     fr_idx = cl.index[fr]
-    chars = classfield.character_group(cl, ell=ell)
+    chars = classfield.character_group(cl)
     fp = frob_poly_from_satake(sp)
     P = fp.p_central
 

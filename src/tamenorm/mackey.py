@@ -351,13 +351,13 @@ def hecke_map(F: FunctorModel, K, Kp, sigma):
     return HeckeCorrespondence(F, frozenset(K), frozenset(Kp), sigma)
 
 
-def check_double_coset_dependence(F, K, Kp, sigma, rng, tries=4):
-    """[K' sigma K] is unchanged when sigma moves inside K' sigma K."""
+def check_double_coset_dependence(F, K, Kp, sigma, rng):
+    """[K' sigma K] is unchanged when sigma moves to 4 random points of K' sigma K."""
     G = F.group
     base = hecke_map(F, K, Kp, sigma)
     base_vals = [base.apply(z) for z in F.basis(K)]
     Kl, Kpl = sorted(K), sorted(Kp)
-    for _ in range(tries):
+    for _ in range(4):
         σ2 = G.mul(G.mul(Kpl[rng.randrange(len(Kpl))], sigma), Kl[rng.randrange(len(Kl))])
         other = hecke_map(F, K, Kp, σ2)
         for z, want in zip(F.basis(K), base_vals):

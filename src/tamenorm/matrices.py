@@ -12,6 +12,12 @@ Everything is pure and allocation-cheap; sizes stay tiny (n <= 8).
 from fractions import Fraction
 from itertools import product
 
+MAX_PRIME = 10 ** 12  # largest prime tested: trial division stops by 10^6
+
+
+class BoundExceeded(ValueError):
+    """A request beyond the documented desk-scale bounds."""
+
 
 # ---------------------------------------------------------------------------
 # valuations
@@ -251,24 +257,6 @@ def det_mod(A, p):
     return det % p
 
 
-def inv_mod_matrix(A, p):
-    n = len(A)
-    work = [[A[i][j] % p for j in range(n)] + [int(i == j) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] % p), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix not invertible mod p")
-        work[col], work[piv] = work[piv], work[col]
-        inv = pow(work[col][col], -1, p)
-        work[col] = [(x * inv) % p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] % p:
-                f = work[r][col]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
 def smith_witness_mod(X, p):
     """(U, V, r) with U X V = E_r over F_p, E_r the rank-r idempotent matrix.
 
@@ -417,8 +405,11 @@ def mat_pow_modq(A, e, q):
 
 
 def is_prime(x):
+    """Trial division; x above MAX_PRIME is refused rather than tested."""
     if x < 2:
         return False
+    if x > MAX_PRIME:
+        raise BoundExceeded(f"{x} exceeds the prime bound {MAX_PRIME}")
     d = 2
     while d * d <= x:
         if x % d == 0:

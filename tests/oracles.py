@@ -28,7 +28,7 @@ from tamenorm.matrices import (
     all_matrices_mod,
     ell_normalize,
     gl_generators,
-    inv_mod_matrix,
+    inv_mod_matrix_q,
     v_ell,
 )
 
@@ -478,7 +478,7 @@ def ref_reduction_element(X, U, V, r, m, ctx):
     """(k, A, B, g_X) over Q with k = (g_r,1)^{-1} h^{-1} g_X the U_m witness."""
     n, ell = ctx.n, ctx.ell
     A = [[U[i][j] if (i < m and j < m) else int(i == j) for j in range(n)] for i in range(n)]
-    B = inv_mod_matrix(V, ell)
+    B = inv_mod_matrix_q(V, ell, 1)
     size = 2 * n
     h_inv = [[Fraction(0)] * size for _ in range(size)]
     for i in range(n):
@@ -582,7 +582,7 @@ def ref_orbit(r, n, ell):
     """The GL_n x GL_n orbit of X_r by BFS with full n x n products, as first written."""
     Xr = hecke.x_r_matrix(r, n)
     gens = list(gl_generators(n, ell))
-    gens += [inv_mod_matrix(g, ell) for g in gens]
+    gens += [inv_mod_matrix_q(g, ell, 1) for g in gens]
 
     def mmul(A, B):
         return tuple(

@@ -240,13 +240,13 @@ def test_frobenius_functorial_under_norm():
 
 def test_character_group_trivial():
     cl = ring_class_group(-4, 1)
-    chars = character_group(cl, ell=2)
+    chars = character_group(cl)
     assert len(chars) == 1 and chars[0].is_trivial()
 
 
 def test_character_group_z2():
     cl = ring_class_group(-4, 5)
-    chars = character_group(cl, ell=3)
+    chars = character_group(cl)
     assert len(chars) == 2
     vals = sorted(chi.exponent_of(1 - cl.identity) for chi in chars)
     assert vals == [0, 1]  # values +-1 as exponents of zeta_2
@@ -262,7 +262,7 @@ def test_character_group_z4():
     cl = ring_class_group(-39, 2)
     assert cl.order == 4
     assert cl.exponent == 4
-    chars = character_group(cl, ell=5)
+    chars = character_group(cl)
     assert len(chars) == 4
 
 

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -12,13 +13,22 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_SAMPLES = {"S3": 20, "D8": 20, "S4": 8, "GL2F3": 2}
 
 
-def run_cli(args):
-    proc = subprocess.run(
+CHILD_ADDRESS_SPACE = 1 << 30  # bytes; a runaway child fails alone
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def run_cli(args, timeout=120):
+    """Run the CLI in a child capped at 1 GB; a hang fails the test by timeout."""
+    return subprocess.run(
         [sys.executable, "-m", "tamenorm.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
+        preexec_fn=_cap_address_space,
     )
-    return proc
 
 
 def run_inproc(args, tmp_path, name="cert.json"):
@@ -151,6 +161,32 @@ def test_coeffs_large_prime_golden_certificate(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (GOLDEN / "coeffs_n1_ell24989.json").read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["tower", "--disc", "-4", "--m", "1", "--ell", "0"],
+    ["norm-relation", "--n", "1", "--ell", "0", "--disc", "-4", "--alpha", "0:1", "0:1"],
+    ["coeffs", "--n", "1", "--ell", "1000000000000000003"],   # above matrices.MAX_PRIME
+])
+def test_ell_not_a_testable_prime_is_config_error(tmp_path, args):
+    # refused before the Kronecker symbol or trial division is computed
+    out = tmp_path / "x.json"
+    proc = run_cli([*args, "--out", str(out)], timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert not out.exists()
+
+
+def test_coeffs_closed_form_at_large_prime(tmp_path):
+    # beyond the orbit bound the nu-image order is closed form, not a set of ell - 1
+    out = tmp_path / "cert.json"
+    proc = run_cli(["coeffs", "--n", "1", "--ell", "100000007", "--out", str(out)],
+                   timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    cert = json.loads(out.read_text())
+    assert cert["results"]["a_coefficients"]["index_source"] == "closed_form"
+    assert [row["nu_image_order"] for row in cert["results"]["a_coefficients"]["rows"]] \
+        == [100000006, 1]
 
 
 def test_coeffs_certificate_and_csv(tmp_path):

@@ -16,8 +16,8 @@ from oracles import (
 )
 from tamenorm import hecke
 from tamenorm.hecke import (
+    BoundExceeded,
     HeckeContext,
-    InfeasibleError,
     a_coefficients,
     assemble_phi,
     flag_orbit_check,
@@ -168,7 +168,7 @@ def test_orbit_certificate_rejects_matrix_of_other_rank(monkeypatch):
 
 
 def test_orbit_stabilizer_infeasible():
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(BoundExceeded):
         orbit_stabilizer(0, HeckeContext(4, 7))
 
 

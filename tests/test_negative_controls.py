@@ -101,6 +101,44 @@ def test_tower_fails_on_perturbed_kernel(tmp_path, monkeypatch):
     assert code == 1
 
 
+def _failed(real):
+    """`real`, with the `pass` of the certificate it returns set to False."""
+    def fake(*args):
+        out = real(*args)
+        cert = out[1] if isinstance(out, tuple) else out
+        cert["pass"] = False
+        return out
+    return fake
+
+
+@pytest.mark.parametrize("args,targets,stage", [
+    (["coeffs", "--n", "1", "--ell", "3"], [(hecke, "a_coefficients")], "coeffs"),
+    (["verify-incl-excl", "--n", "2", "--ell", "2"],
+     [(lattice, "verify_inclusion_exclusion")], "lattice"),
+    (["mackey-test", "--group", "S3", "--samples", "4"],
+     [(mackey, "check_galois_axiom")], "mackey"),
+    (["lfactor", "--n", "1", "--ell", "5", "--alpha", "0:1", "0:1"],
+     [(lfactor, "weil_weight_check")], "lfactor"),
+    (["classgroup", "--disc", "-4", "--conductor", "5"],
+     [(classfield.FormClassGroup, "class_number_formula_certificate")], "classgroup"),
+    (["tower", "--disc", "-4", "--m", "1", "--ell", "5"],
+     [(classfield, "norm_map")], "tower"),
+    # steps 2 and 4 both fail: the first failing stage is named
+    (["norm-relation", "--n", "1", "--ell", "5", "--disc", "-4", "--alpha", "0:1", "0:1"],
+     [(lattice, "verify_measure_identity"), (classfield, "norm_map")],
+     "step2_measure_identity"),
+])
+def test_failing_check_names_its_stage(tmp_path, monkeypatch, args, targets, stage):
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, _failed(getattr(owner, name)))
+    code, cert = run(args, tmp_path)
+    assert code == 1
+    assert cert["pass"] is False
+    assert cert["first_failure"] == {"stage": stage}
+    if args[0] == "norm-relation":
+        assert not cert["results"]["step4_class_groups"]["pass"]
+
+
 def test_norm_relation_builtin_control(tmp_path):
     code, cert = run(
         ["norm-relation", "--n", "1", "--ell", "13", "--disc", "-4",
