@@ -468,58 +468,44 @@ class Character:
     def is_trivial(self):
         return all(e == 0 for e in self.exps)
 
-    def __eq__(self, other):
-        return self.k == other.k and self.exps == other.exps
-
-    def __hash__(self):
-        return hash((self.k, self.exps))
-
 
 def character_group(cl):
     """All characters of cl valued in <zeta_k>, k the group exponent.
 
-    Characters are extended multiplicatively from a generating set, with every
-    candidate assignment closed and checked for consistency; the count must be
-    |cl| (duality), and orthogonality is verified exactly in the scalar ring.
-    The sums involve only zeta_k, so any base prime gives the same answer;
-    they are formed over 2.
+    Built along the greedy generators g_1, g_2, ... (Cohen, GTM 138, 2.4):
+    with H = <g_1, ..., g_(i-1)> and d least with g^d in H for g = g_i, a
+    character chi of H extends to <H, g> once for each a mod k with
+    d a = chi(g^d), by chi(h g^j) = chi(h) + j a.  Extending every chi in
+    increasing a orders the characters lexicographically by their values
+    on (g_1, g_2, ...).  The result is checked exactly, in integers: the h
+    exponent vectors are pairwise distinct and each satisfies
+    e[x g] = e[x] + e[g] for every x and every generator g, so they are the
+    whole dual group and orthogonality follows.
     """
     k = cl.exponent
-    gens = cl.generators()
     table = cl.table
-    chars = []
-    from itertools import product as iproduct
-
-    for assignment in iproduct(range(k), repeat=len(gens)):
-        exps = {cl.identity: 0}
-        frontier = [cl.identity]
-        ok = True
-        while frontier and ok:
-            x = frontier.pop()
-            for g, a in zip(gens, assignment):
-                y = table[x][g]
-                e = (exps[x] + a) % k
-                if y in exps:
-                    if exps[y] != e:
-                        ok = False
-                        break
-                else:
-                    exps[y] = e
-                    frontier.append(y)
-        if ok and len(exps) == cl.order:
-            chars.append(Character(cl, k, [exps[i] for i in range(cl.order)]))
-    if len(chars) != cl.order:
-        raise ArithmeticError("character count does not match the group order")
-    # orthogonality: sum over the group of chi(g) conj(chi'(g)) is 0 or |cl|
-    for chi in chars:
-        for chi2 in chars:
-            total = ExactScalar.zero(2, 1)
-            for i in range(cl.order):
-                total = total + chi.value(i, 2) * chi2.value(i, 2).conj()
-            want = cl.order if chi == chi2 else 0
-            if total != want:
-                raise ArithmeticError("character orthogonality failed")
-    return chars
+    gens = cl.generators()
+    chars = [{cl.identity: 0}]        # exponents on H, identity first
+    for g in gens:
+        layers = [list(chars[0])]     # H, Hg, ..., Hg^(d-1)
+        while table[layers[-1][0]][g] not in chars[0]:
+            layers.append([table[x][g] for x in layers[-1]])
+        d, power = len(layers), table[layers[-1][0]][g]
+        step = k // d
+        chars = [
+            {x: (chi[h] + j * a) % k
+             for j, layer in enumerate(layers) for h, x in zip(layers[0], layer)}
+            for chi in chars for a in range(chi[power] // d % step, k, step)
+        ]
+    if len(chars[0]) != cl.order:
+        raise ArithmeticError("the generators do not generate the group")
+    chars = [[chi[x] for x in cl.elements] for chi in chars]
+    if len(set(map(tuple, chars))) != cl.order or any(
+        chi[table[x][g]] != (chi[x] + chi[g]) % k
+        for chi in chars for g in gens for x in cl.elements
+    ):
+        raise ArithmeticError("characters are not distinct homomorphisms")
+    return [Character(cl, k, chi) for chi in chars]
 
 
 # ---------------------------------------------------------------------------

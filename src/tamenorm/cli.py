@@ -21,6 +21,7 @@ from .fingroup import CATALOG_NAMES
 from .lfactor import CharacterValue, SatakeParams
 
 SCHEMA = "trc-1"
+MAX_SAMPLES = 1000  # largest mackey-test --samples
 
 
 def _certificate(command, inputs, results, stages):
@@ -372,13 +373,13 @@ def _inputs(args, *names):
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _positive_int(text):
+def _sample_count(text):
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_SAMPLES}, got {value}")
     return value
 
 
@@ -408,7 +409,7 @@ def build_parser():
     p = sub.add_parser("mackey-test", help="cohomology-functor axiom battery")
     p.add_argument("--group", default="S3", choices=CATALOG_NAMES)
     p.add_argument("--model", default="G", choices=["G", "cosets", "two"])
-    p.add_argument("--samples", type=_positive_int, default=100)
+    p.add_argument("--samples", type=_sample_count, default=100)
     p.add_argument("--generator-file", default="", dest="generator_file",
                    help="JSON {modulus, generators: [[..]], name} matrix group "
                         "(replaces --group)")

@@ -538,15 +538,6 @@ def _iwahori_mat_predicates(r, p, N):
         a, b, c, d = t
         return (a * d - b * c) % p != 0
 
-    def in_Ur(t, rr):
-        a, b, c, d = t
-        pr = p ** rr
-        if not det_unit(t):
-            return False
-        if b % pr or c % pr:            # g must be diagonal mod p^r
-            return False
-        return True                      # tau^{-r} g tau^r integral iff p^r | b
-
     def in_Vr(t, rr):
         # w in V_r iff tau^r w tau^{-r} lies in U_r; the conjugate has entries
         # (a, p^r b, c / p^r, d), so p^r must divide c first

@@ -14,7 +14,6 @@ against brute-force lattice enumeration (see module `lattice`).
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .matrices import is_prime
@@ -61,22 +60,18 @@ def rank_count(r, m, ctx):
     return num // den
 
 
+@lru_cache(maxsize=None)
 def chain_count(j, m, ctx):
-    """D_{j,m}: chains 0 = V_0 < V_1 < ... < V_j < F_ell^m, strict inclusions."""
-    ell = ctx.ell
+    """D_{j,m}: chains 0 = V_0 < V_1 < ... < V_j < F_ell^m, strict inclusions.
+
+    By the dimension d of the top subspace V_j:
+    D_{j,m} = sum_{d=j}^{m-1} [m, d]_ell D_{j-1,d}.
+    """
     if not (0 <= j <= m - 1 <= ctx.n - 1):
         raise ValueError(f"need 0 <= j <= m-1 <= n-1, got j={j}, m={m}")
     if j == 0:
         return 1
-    total = 0
-    for dims in combinations(range(1, m), j):
-        count = 1
-        prev = m
-        for d in reversed(dims):
-            count *= q_binomial(prev, d, ell)
-            prev = d
-        total += count
-    return total
+    return sum(q_binomial(m, d, ctx.ell) * chain_count(j - 1, d, ctx) for d in range(j, m))
 
 
 def lambda_coefficients(ctx):

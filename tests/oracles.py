@@ -13,7 +13,11 @@ frozen serialization of the g_r behind the "phi" certificate bytes;
 `ref_nu_image` enumerates the stabilizer of X_r by brute force.  `RefGroup`
 is the finite group on concrete tuple elements that the index-based
 tamenorm.fingroup replaced: every product is recomputed and matrix inverses
-are powers.
+are powers.  `ref_character_group` is the exponent search, and
+`ref_characters_orthogonal` the exact orthogonality check, that the direct
+construction in tamenorm.classfield.character_group replaced;
+`ref_chain_count` is the sum over dimension sets that the recurrence in
+tamenorm.qcomb.chain_count replaced.
 """
 
 from collections import namedtuple
@@ -23,6 +27,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
 
 from tamenorm import hecke
+from tamenorm.exactnum import ExactScalar
 from tamenorm.lattice import LatticeClass
 from tamenorm.matrices import (
     all_matrices_mod,
@@ -31,6 +36,7 @@ from tamenorm.matrices import (
     inv_mod_matrix_q,
     v_ell,
 )
+from tamenorm.qcomb import q_binomial
 
 
 def all_vectors(n, q):
@@ -718,3 +724,72 @@ def ref_catalog_group(name):
     if name == "GL2F3":
         return ref_matrix_group([((1, 1), (0, 1)), ((2, 0), (0, 1)), ((0, 2), (1, 0))], 3)
     raise KeyError(name)
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive searches replaced by direct constructions
+
+
+def ref_character_group(cl):
+    """Exponent lists of all characters of cl into <zeta_k>, k the exponent.
+
+    Tries every assignment of exponents to the greedy generators, in
+    lexicographic order, and keeps those whose closure over the group is
+    consistent.
+    """
+    k = cl.exponent
+    gens = cl.generators()
+    table = cl.table
+    chars = []
+    for assignment in product(range(k), repeat=len(gens)):
+        exps = {cl.identity: 0}
+        frontier = [cl.identity]
+        ok = True
+        while frontier and ok:
+            x = frontier.pop()
+            for g, a in zip(gens, assignment):
+                y = table[x][g]
+                e = (exps[x] + a) % k
+                if y in exps:
+                    if exps[y] != e:
+                        ok = False
+                        break
+                else:
+                    exps[y] = e
+                    frontier.append(y)
+        if ok and len(exps) == cl.order:
+            chars.append([exps[i] for i in range(cl.order)])
+    return chars
+
+
+def ref_characters_orthogonal(cl, k, chars):
+    """Sum over the group of chi(g) conj(chi'(g)) is |cl| if chi = chi', else 0.
+
+    Formed exactly as ExactScalar roots of unity over the base prime 2.
+    """
+    zeta = [ExactScalar.zeta(2, k, e) for e in range(k)]
+    zeta_bar = [z.conj() for z in zeta]
+    for i, chi in enumerate(chars):
+        for j, chi2 in enumerate(chars):
+            total = ExactScalar.zero(2, 1)
+            for x in range(cl.order):
+                total = total + zeta[chi[x]] * zeta_bar[chi2[x]]
+            if total != (cl.order if i == j else 0):
+                return False
+    return True
+
+
+def ref_chain_count(j, m, ell):
+    """D_{j,m} as the sum over all dimension sets 0 < d_1 < ... < d_j < m of
+    prod [d_(i+1), d_i]_ell, with d_(j+1) = m."""
+    if j == 0:
+        return 1
+    total = 0
+    for dims in combinations(range(1, m), j):
+        count = 1
+        prev = m
+        for d in reversed(dims):
+            count *= q_binomial(prev, d, ell)
+            prev = d
+        total += count
+    return total

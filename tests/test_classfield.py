@@ -1,5 +1,7 @@
 import random
-from math import gcd, prod
+from functools import lru_cache
+from itertools import permutations
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -23,6 +25,9 @@ from tamenorm.classfield import (
     ring_class_group,
 )
 from tamenorm.exactnum import ExactScalar
+from tamenorm.fingroup import FiniteGroup
+
+from oracles import ref_character_group, ref_characters_orthogonal
 
 
 def test_kronecker_basics():
@@ -264,6 +269,58 @@ def test_character_group_z4():
     assert cl.exponent == 4
     chars = character_group(cl)
     assert len(chars) == 4
+
+
+@lru_cache(maxsize=None)
+def _ring_class_groups(bound):
+    """Every ring class group with |D| = |d_E| m^2 <= bound."""
+    return tuple(
+        ring_class_group(d_E, m)
+        for d_E in range(-3, -bound - 1, -1) if is_fundamental_discriminant(d_E)
+        for m in range(1, isqrt(bound // -d_E) + 1)
+    )
+
+
+def test_character_group_matches_search():
+    # same characters in the same order as the exhaustive exponent search
+    groups = 0
+    for cl in _ring_class_groups(2000):
+        chars = character_group(cl)
+        assert all(chi.k == cl.exponent for chi in chars)
+        assert [list(chi.exps) for chi in chars] == ref_character_group(cl), cl.name
+        groups += 1
+    assert groups == 1000
+
+
+def test_character_group_orthogonal_in_scalars():
+    checked = 0
+    for cl in _ring_class_groups(2000):
+        if cl.order <= 12:
+            chars = character_group(cl)
+            assert ref_characters_orthogonal(cl, cl.exponent, [chi.exps for chi in chars]), cl.name
+            checked += 1
+    assert checked > 500
+
+
+def test_character_group_refuses_non_abelian_table():
+    # Z/2 x S3 on five points: the cosets of <z>, then <z, c>, cover the group,
+    # but the exponent lists built on them are not homomorphisms; z is central,
+    # so only the check along the second generator c sees it
+    elements = [p + q for p in permutations(range(3)) for q in ((3, 4), (4, 3))]
+    G = FiniteGroup(elements, lambda p, q: tuple(p[i] for i in q), None, tuple(range(5)))
+    z, c, t = (0, 1, 2, 4, 3), (1, 2, 0, 3, 4), (1, 0, 2, 3, 4)
+    G.exponent, G.order = 6, len(G)
+    G.generators = lambda: [G.index[z], G.index[c], G.index[t]]
+    with pytest.raises(ArithmeticError, match="homomorphisms"):
+        character_group(G)
+
+
+def test_character_group_refuses_non_generating_set():
+    cl = ring_class_group(-39, 2)  # Z/4
+    half = next(x for x in cl.elements if cl.element_order(x) == 2)
+    cl.generators = lambda: [half]
+    with pytest.raises(ArithmeticError, match="generate"):
+        character_group(cl)
 
 
 def test_class_number_sweep_small():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import resource
 import subprocess
@@ -112,13 +113,19 @@ def test_depth_below_one_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("samples", ["-5", "0"])
+@pytest.mark.parametrize("samples", ["-5", "0", "1001"])
 def test_samples_below_one_is_usage_error(tmp_path, samples):
     out = tmp_path / "x.json"
     proc = run_cli(["mackey-test", "--group", "S3", "--samples", samples, "--out", str(out)])
     assert proc.returncode == 2
     assert "--samples" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["1", str(cli.MAX_SAMPLES)])
+def test_samples_at_the_bounds_are_accepted(samples):
+    args = cli.build_parser().parse_args(["mackey-test", "--samples", samples])
+    assert args.samples == int(samples)
 
 
 def test_chi_order_beyond_bound_is_config_error(tmp_path):
@@ -189,6 +196,12 @@ def test_coeffs_closed_form_at_large_prime(tmp_path):
         == [100000006, 1]
 
 
+def test_coeffs_at_rank_25(tmp_path):
+    out = tmp_path / "x.json"
+    proc = run_cli(["coeffs", "--n", "25", "--ell", "2", "--out", str(out)], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_coeffs_certificate_and_csv(tmp_path):
     code, cert = run_inproc(["coeffs", "--n", "2", "--ell", "2"], tmp_path)
     assert code == 0
@@ -234,6 +247,34 @@ def test_classgroup_above_order_cap_is_config_error(tmp_path, capsys):
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+# sha256 of the certificates written by the exhaustive character search
+CLASSGROUP_DIGESTS = {
+    (-191, 7): "11a989258a420d3c85914a348334417b33da1cafae794b7a5fe57a8b74bc53ef",
+    (-1199, 8): "10d24614eb54e6fe45a2330c9501773bad140917d13781d6012f38ddbe7f4631",
+}
+
+
+@pytest.mark.parametrize("disc,conductor", sorted(CLASSGROUP_DIGESTS))
+def test_classgroup_certificate_digest(tmp_path, disc, conductor):
+    out = tmp_path / "x.json"
+    proc = run_cli(["classgroup", "--disc", str(disc), "--conductor", str(conductor),
+                    "--out", str(out)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CLASSGROUP_DIGESTS[disc, conductor]
+
+
+def test_classgroup_above_300_classes(tmp_path):
+    # h(-100007) = 336, cyclic; the greedy generating set has 3 elements
+    out = tmp_path / "x.json"
+    proc = run_cli(["classgroup", "--disc", "-100007", "--out", str(out)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(out.read_text())["results"]
+    assert results["order"] == 336
+    assert len(set(map(tuple, results["characters"]))) == 336
+    assert results["character_order"] == 336
 
 
 def test_tower_command(tmp_path):

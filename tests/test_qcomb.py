@@ -11,7 +11,7 @@ from tamenorm.qcomb import (
     rank_count,
 )
 
-from oracles import count_chains, count_rank_matrices, count_subspaces
+from oracles import count_chains, count_rank_matrices, count_subspaces, ref_chain_count
 
 
 def test_q_binomial_trivial():
@@ -69,6 +69,14 @@ def test_chain_count_matches_bruteforce(ell):
         ctx = QCombContext(m, ell)
         for j in range(m):
             assert chain_count(j, m, ctx) == count_chains(j, m, ell)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_chain_count_matches_sum_over_dimension_sets(ell):
+    ctx = QCombContext(10, ell)
+    for m in range(1, 11):
+        for j in range(m):
+            assert chain_count(j, m, ctx) == ref_chain_count(j, m, ell)
 
 
 def test_lambda_n1():
