@@ -14,7 +14,6 @@ certificate names the orientation explicitly.
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .exactnum import ExactScalar
 from .fingroup import FiniteGroup
 from .matrices import hnf_rows, is_prime
 
@@ -450,27 +449,9 @@ class TowerStep:
 # ---------------------------------------------------------------------------
 # characters
 
-class Character:
-    """A homomorphism Pic(O_m) -> <zeta_k>, stored as exponents mod k."""
-
-    def __init__(self, cl, k, exps):
-        self.cl = cl
-        self.k = k
-        self.exps = tuple(e % k for e in exps)
-
-    def value(self, idx, ell):
-        """chi(class idx) as an ExactScalar root of unity over base prime ell."""
-        return ExactScalar.zeta(ell, self.k, self.exps[idx])
-
-    def exponent_of(self, idx):
-        return self.exps[idx]
-
-    def is_trivial(self):
-        return all(e == 0 for e in self.exps)
-
-
 def character_group(cl):
-    """All characters of cl valued in <zeta_k>, k the group exponent.
+    """(k, rows): every character of cl valued in <zeta_k>, k the group
+    exponent, as its tuple of exponents mod k in index order.
 
     Built along the greedy generators g_1, g_2, ... (Cohen, GTM 138, 2.4):
     with H = <g_1, ..., g_(i-1)> and d least with g^d in H for g = g_i, a
@@ -499,13 +480,13 @@ def character_group(cl):
         ]
     if len(chars[0]) != cl.order:
         raise ArithmeticError("the generators do not generate the group")
-    chars = [[chi[x] for x in cl.elements] for chi in chars]
-    if len(set(map(tuple, chars))) != cl.order or any(
+    chars = [tuple(chi[x] for x in cl.elements) for chi in chars]
+    if len(set(chars)) != cl.order or any(
         chi[table[x][g]] != (chi[x] + chi[g]) % k
         for chi in chars for g in gens for x in cl.elements
     ):
         raise ArithmeticError("characters are not distinct homomorphisms")
-    return [Character(cl, k, chi) for chi in chars]
+    return k, chars
 
 
 # ---------------------------------------------------------------------------

@@ -222,10 +222,10 @@ def run_lfactor(args):
 
 def run_classgroup(args):
     cl = classfield.ring_class_group(args.disc, args.conductor)
-    chars = classfield.character_group(cl)
+    k, chars = classfield.character_group(cl)
     data = cl.to_json_dict()
-    data["characters"] = [list(c.exps) for c in chars]
-    data["character_order"] = chars[0].k if chars else 1
+    data["characters"] = [list(chi) for chi in chars]
+    data["character_order"] = k
     return _certificate("classgroup", _inputs(args, "disc", "conductor"), data,
                         [("classgroup", data["class_number_certificate"]["pass"])])
 
@@ -254,8 +254,9 @@ def run_norm_relation(args):
     level-raising characters evaluated on the norm-map kernel.
     """
     n, ell, d_E, m = args.n, args.ell, args.disc, args.conductor
-    _, cl_small, cl_big = classfield.TowerStep.build(d_E, m, ell)
     ctx = hecke.HeckeContext(n, ell)
+    sp = _parse_alpha(args.alpha, n, ell)
+    _, cl_small, cl_big = classfield.TowerStep.build(d_E, m, ell)
     results = {"seed": args.seed}
 
     # (1) coefficients and congruences
@@ -297,9 +298,8 @@ def run_norm_relation(args):
     }
 
     # (5) L-factor decomposition
-    sp = _parse_alpha(args.alpha, n, ell)
     tga = lfactor.tame_group_algebra_check(cl_small, sp, ell)
-    big_chi = _big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell)
+    big_chi = lfactor.big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell)
     results["step5_lfactor"] = {
         "level_m_group_algebra": tga,
         "level_ellm_chi_decomposition": big_chi,
@@ -311,56 +311,6 @@ def run_norm_relation(args):
                         _inputs(args, "n", "ell", "disc", "conductor", "alpha", "depth",
                                 "seed", "perturb_b1"),
                         results, stages)
-
-
-def _big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell):
-    """Eigenvalues of the tame factor along characters of Gal(E[ell m]/E).
-
-    Characters factoring through the norm map see P at the level-m Frobenius;
-    level-raising characters (nontrivial on the norm-map kernel) are recorded
-    at a kernel generator.  Every eigenvalue is cross-checked against the
-    independent product formula.
-    """
-    fr_small = classfield.frobenius_class(cl_small, ell)
-    fr_small_idx = cl_small.index[fr_small]
-    kernel = [i for i in range(cl_big.order) if mapping[i] == cl_small.identity]
-    k_gen = max(kernel, key=cl_big.element_order)
-    chars = classfield.character_group(cl_big)
-    fp = lfactor.frob_poly_from_satake(sp)
-    rows = []
-    ok = True
-    eig_set = set()
-    for chi in chars:
-        factors = all(chi.exponent_of(i) == 0 for i in kernel)
-        if factors:
-            # chi = chibar o norm: evaluate chibar at the level-m Frobenius by
-            # lifting along any preimage
-            pre = next(i for i in range(cl_big.order) if mapping[i] == fr_small_idx)
-            val = chi.value(pre, ell)
-            kind = "factors_through_norm"
-        else:
-            val = chi.value(k_gen, ell)
-            kind = "level_raising_at_kernel_generator"
-        eig = fp.p_central.eval(val)
-        ind = lfactor.local_l_inverse(sp, val)
-        good = eig == ind
-        ok = ok and good
-        eig_set.add(eig.serialize())
-        rows.append({
-            "chi_exponents": list(chi.exps),
-            "kind": kind,
-            "value": val.serialize(),
-            "eigenvalue": eig.serialize(),
-            "independent_product": ind.serialize(),
-            "pass": good,
-        })
-    return {
-        "identity": "big_level_chi_decomposition",
-        "kernel_order": len(kernel),
-        "rows": rows,
-        "eigenvalue_set": sorted(eig_set),
-        "pass": ok,
-    }
 
 
 def _inputs(args, *names):

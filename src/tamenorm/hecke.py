@@ -45,8 +45,7 @@ class HeckeContext:
     ell: int
 
     def __post_init__(self):
-        if self.n < 1 or not is_prime(self.ell):
-            raise ValueError("need n >= 1, ell prime")
+        qcomb.QCombContext(self.n, self.ell)  # validates n, ell and the table size
 
     @property
     def qctx(self):

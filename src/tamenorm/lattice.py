@@ -29,6 +29,7 @@ MAX_N = 4                   # largest rank enumerate_X_ge1 visits
 MAX_ELL = 7                 # largest prime enumerate_X_ge1 visits
 MAX_DEPTH = 6               # largest invariant exponent an enumeration visits
 MAX_CANDIDATES = 10 ** 6    # HNF candidates a verification may enumerate
+MAX_JOINS = 10 ** 6         # member pairs inclusion-exclusion may join
 
 
 @dataclass(frozen=True)
@@ -399,8 +400,11 @@ def verify_inclusion_exclusion(n, ell, depth):
     iff L' below L1 and L' below L2, over all member pairs.
     """
     _check_request(n, ell, depth)
+    M = sum(qcomb.q_binomial(n, d, ell) for d in range(n))  # |X_n^{>=1}|
+    if M * (M + 1) // 2 > MAX_JOINS:
+        raise BoundExceeded(f"rank {n}, ell = {ell}: {M} members need more than "
+                            f"{MAX_JOINS} joins")
     members = enumerate_X_ge1(n, ell)
-    M = len(members)
     w, n_chains = _chain_weights(members)
 
     index = {members[i]: i for i in range(M)}

@@ -16,12 +16,21 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .matrices import is_prime
+from .matrices import BoundExceeded, is_prime
+
+MAX_DIGITS = 4300  # longest integer a certificate prints (Python's int -> str limit)
+_SIZE_LIMIT = 10 ** (2 * MAX_DIGITS)
 
 
 @dataclass(frozen=True)
 class QCombContext:
-    """Rank parameter n >= 1 and prime ell; n need not be odd."""
+    """Rank parameter n >= 1 and prime ell; n need not be odd.
+
+    The largest integer in the tables for (n, ell) has about
+    1.5 n^2 log10(ell) digits (measured for n <= 60), so ell^(3 n^2) must stay
+    below 10^(2 MAX_DIGITS); since ell >= 2, a large n is refused on its
+    bit count alone, before the power is formed.
+    """
 
     n: int
     ell: int
@@ -31,6 +40,10 @@ class QCombContext:
             raise ValueError("n must be >= 1")
         if not is_prime(self.ell):
             raise ValueError(f"ell must be prime, got {self.ell}")
+        e = 3 * self.n * self.n
+        if e >= _SIZE_LIMIT.bit_length() or self.ell ** e >= _SIZE_LIMIT:
+            raise BoundExceeded(f"n = {self.n}, ell = {self.ell}: the coefficient "
+                                f"tables exceed {MAX_DIGITS}-digit integers")
 
 
 @lru_cache(maxsize=None)

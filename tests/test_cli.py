@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tamenorm import cli
+from tamenorm import classfield, cli, qcomb
 from tamenorm.fingroup import CATALOG_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,6 +103,36 @@ def test_alpha_order_below_one_is_config_error(tmp_path, capsys, alpha):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["coeffs", "--n", "1200", "--ell", "2"],
+    ["coeffs", "--n", "110", "--ell", "2"],
+    ["coeffs", "--n", "80", "--ell", "7"],
+    ["norm-relation", "--n", "1200", "--ell", "5", "--disc", "-4", "--alpha", "0:1", "0:1"],
+])
+def test_rank_beyond_printable_tables_is_config_error(tmp_path, args):
+    # refused where n and ell are validated, before any table is built
+    out = tmp_path / "x.json"
+    proc = run_cli([*args, "--out", str(out)], timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error" in proc.stderr and "digit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_norm_relation_alpha_count_checked_before_any_step(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a step ran before --alpha was parsed")
+
+    monkeypatch.setattr(classfield.TowerStep, "build", unreachable)
+    monkeypatch.setattr(qcomb, "b_coefficients", unreachable)
+    out = tmp_path / "x.json"
+    code = cli.main(["norm-relation", "--n", "3", "--ell", "5", "--disc", "-4",
+                     "--alpha", "0:1", "0:1", "--out", str(out)])
+    assert code == 2
+    assert "alpha values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_depth_below_one_is_config_error(tmp_path, capsys):
     # a lattice sweep at depth 0 checks no case, so it is refused, not passed
     out = tmp_path / "x.json"
@@ -145,6 +175,7 @@ def test_chi_order_beyond_bound_is_config_error(tmp_path):
     (["--n", "3", "--ell", "7", "--depth", "4"], "HNF candidates"),   # 8.2e10 of them
     (["--n", "2", "--ell", "3", "--depth", "7"], "depth 7 exceeds bound"),
     (["--n", "0", "--ell", "3", "--depth", "1"], "n must be >= 1"),
+    (["--n", "4", "--ell", "7", "--depth", "1"], "joins"),            # 6.7e6 of them
 ])
 def test_lattice_request_beyond_bounds_is_config_error(tmp_path, args, message):
     # refused before anything is enumerated, so well inside the timeout
@@ -400,6 +431,14 @@ def test_readme_golden_certificate(tmp_path, name):
     out = tmp_path / "cert.json"
     assert cli.main([*README_COMMANDS[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"readme_{name}.json").read_bytes()
+
+
+def test_norm_relation_mid_size_golden_certificate(tmp_path):
+    # 7 level-m characters, 28 level-ell m rows of both kinds, kernel order 4
+    out = tmp_path / "cert.json"
+    assert cli.main(["norm-relation", "--n", "1", "--ell", "5", "--disc", "-71",
+                     "--alpha", "1:3", "2:3", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "norm_relation_d71.json").read_bytes()
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -20,7 +20,7 @@ from tamenorm.lattice import (
     verify_measure_identity,
 )
 from tamenorm.matrices import mat_det, smith_ell_exponents
-from tamenorm.qcomb import QCombContext, lambda_coefficients
+from tamenorm.qcomb import QCombContext, lambda_coefficients, q_binomial
 
 ORACLE_CELLS = [(n, ell) for n in (1, 2, 3) for ell in (2, 3)] + [(2, 5)]
 
@@ -296,6 +296,26 @@ def test_candidate_cap_admits_documented_cells():
     for (n, ell, depth), count in counts.items():
         assert len(sublattices_up_to_depth(n, ell, depth)) == count
         lattice._check_request(n, ell, depth)
+
+
+@pytest.mark.parametrize("n,ell", [(2, 5), (3, 3), (4, 2), (4, 5)])
+def test_member_count_is_closed_form(n, ell):
+    # the join cap counts X_n^{>=1} as sum_{d<n} [n, d]_ell without enumerating
+    assert len(enumerate_X_ge1(n, ell)) == sum(q_binomial(n, d, ell) for d in range(n))
+
+
+def test_join_cap_refuses_rank_4_at_ell_7(monkeypatch):
+    class Enumerated(Exception):
+        pass
+
+    def enumerated(n, ell):
+        raise Enumerated
+
+    monkeypatch.setattr(lattice, "enumerate_X_ge1", enumerated)
+    with pytest.raises(Enumerated):        # 1,119 members, 626,640 joins
+        verify_inclusion_exclusion(4, 5, 1)
+    with pytest.raises(BoundExceeded, match="joins"):   # 3,651 members, 6.7e6 joins
+        verify_inclusion_exclusion(4, 7, 1)
 
 
 @pytest.mark.parametrize("verify", [verify_inclusion_exclusion, verify_measure_identity])

@@ -101,6 +101,37 @@ def test_tower_fails_on_perturbed_kernel(tmp_path, monkeypatch):
     assert code == 1
 
 
+def test_norm_relation_fails_on_perturbed_l_value(tmp_path, monkeypatch):
+    # step 5 at both levels compares P at chi(Fr) with the product formula
+    real = lfactor.local_l_inverse
+    monkeypatch.setattr(lfactor, "local_l_inverse", lambda sp, x: real(sp, x) + 1)
+    code, cert = run(["norm-relation", "--n", "1", "--ell", "5", "--disc", "-71",
+                      "--alpha", "1:3", "2:3"], tmp_path)
+    assert code == 1
+    assert cert["first_failure"] == {"stage": "step5_lfactor"}
+    step5 = cert["results"]["step5_lfactor"]
+    assert not step5["level_m_group_algebra"]["pass"]
+    assert not step5["level_ellm_chi_decomposition"]["pass"]
+
+
+def test_fourier_inversion_fails_on_duplicated_character(monkeypatch):
+    # the last character replaced by a copy of the first: every per-chi
+    # eigenvalue still matches, but the table is not the dual group
+    real = classfield.character_group
+
+    def fake(cl):
+        k, chars = real(cl)
+        return k, chars[:-1] + chars[:1]
+
+    monkeypatch.setattr(classfield, "character_group", fake)
+    cl = classfield.ring_class_group(-39, 2)  # Z/4
+    sp = lfactor.SatakeParams.from_root_exponents(1, 5, [(1, 4), (3, 4)])
+    cert = lfactor.tame_group_algebra_check(cl, sp, 5)
+    assert all(row["pass"] for row in cert["per_chi"])
+    assert cert["fourier_inversion"] is False
+    assert cert["pass"] is False
+
+
 def _failed(real):
     """`real`, with the `pass` of the certificate it returns set to False."""
     def fake(*args):

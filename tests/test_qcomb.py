@@ -1,7 +1,10 @@
 import pytest
 from fractions import Fraction
+from math import log10
 
+from tamenorm.matrices import BoundExceeded
 from tamenorm.qcomb import (
+    MAX_DIGITS,
     QCombContext,
     b_coefficients,
     chain_count,
@@ -143,6 +146,19 @@ def test_context_validation():
         QCombContext(0, 3)
     with pytest.raises(ValueError):
         QCombContext(2, 4)
+
+
+@pytest.mark.parametrize("n,ell", [(97, 2), (58, 7), (25, 2), (3, 24989)])
+def test_context_admits_printable_tables(n, ell):
+    QCombContext(n, ell)
+
+
+@pytest.mark.parametrize("n,ell", [(98, 2), (59, 7), (1200, 2)])
+def test_context_refuses_unprintable_tables(n, ell):
+    # ell^(3 n^2) >= 10^(2 MAX_DIGITS): some table entry would exceed MAX_DIGITS
+    assert 3 * n * n * log10(ell) >= 2 * MAX_DIGITS
+    with pytest.raises(BoundExceeded):
+        QCombContext(n, ell)
 
 
 def test_table_json_roundtrippable():
