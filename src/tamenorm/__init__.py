@@ -14,7 +14,7 @@ Modules:
 
 __version__ = "0.1.0"
 
-from .exactnum import ExactScalar, NotInvertibleError, Poly, Rational
+from .exactnum import ExactScalar, NotInvertibleError, Poly
 from .qcomb import QCombContext
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "NotInvertibleError",
     "Poly",
     "QCombContext",
-    "Rational",
     "__version__",
 ]

@@ -397,11 +397,13 @@ def norm_map(cl_big, cl_small):
     for f in cl_big.labels:
         img = ideal_extension_form(f, cl_big.d_E, cl_big.conductor, cl_small.conductor)
         mapping.append(cl_small.index[img])
-    big, small = cl_big.table, cl_small.table
-    hom = all(
-        mapping[big[i][j]] == small[mapping[i]][mapping[j]]
+    # phi(1) = 1 and phi(x g) = phi(x) phi(g) for the generators g give
+    # phi(x y) = phi(x) phi(y) by induction on the word length of y
+    big, small, gens = cl_big.table, cl_small.table, cl_big.generators()
+    hom = mapping[cl_big.identity] == cl_small.identity and all(
+        mapping[big[i][g]] == small[mapping[i]][mapping[g]]
         for i in cl_big.elements
-        for j in cl_big.elements
+        for g in gens
     )
     surjective = set(mapping) == set(range(cl_small.order))
     kernel = [i for i in range(cl_big.order) if mapping[i] == cl_small.identity]

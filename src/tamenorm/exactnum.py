@@ -8,10 +8,6 @@ over a common positive denominator, so equality is decidable and canonical.
 The ring is not always a field (sqrt(ell) may already lie in Q(zeta_k));
 inversion is defined exactly for units and raises NotInvertibleError
 otherwise.  All operations are pure; values are immutable.
-
-`Rational` is an alias for fractions.Fraction: exact rational arithmetic with
-arbitrary-precision integers is exactly the stdlib type, so we do not rebuild
-it.
 """
 
 from fractions import Fraction
@@ -20,8 +16,6 @@ from math import gcd, lcm
 from operator import index
 
 from .matrices import is_prime
-
-Rational = Fraction
 
 MAX_ORDER = 1000  # largest cyclotomic order k; the tables hold k * phi(k) entries
 
@@ -505,10 +499,6 @@ class Poly:
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def constant(c):
-        return Poly([c])
 
     @property
     def degree(self):

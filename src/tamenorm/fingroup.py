@@ -4,11 +4,13 @@ A FiniteGroup is built once from concrete hashable, orderable elements and
 their multiplication (Holt-Eick-O'Brien, Handbook of Computational Group
 Theory, ch. 3-5): the elements are interned as 0..|G|-1 in sorted order of
 the concrete elements, and products and inverses become lookups in a Cayley
-table and an inverse table.  Every group operation, subgroup and coset works
-on these indices; `labels[i]` is the concrete element behind index i and
-`index` the map back.  The catalog provides the groups used by the cohomology
-functor test battery: S_3, S_4, D_8, GL_2(F_3), each with a distinguished
-"Borel-like" subgroup for coset models.
+table and an inverse table.  Only the columns of the identity and of the
+greedy generators are concrete products; the rest are read off the closure
+walk that finds the generators.  Every group operation, subgroup and coset
+works on these indices; `labels[i]` is the concrete element behind index i
+and `index` the map back.  The catalog provides the groups used by the
+cohomology functor test battery: S_3, S_4, D_8, GL_2(F_3), each with a
+distinguished "Borel-like" subgroup for coset models.
 """
 
 # Largest group order accepted: the Cayley table holds |G|^2 entries.
@@ -28,27 +30,32 @@ def _perm_inv(p):
 
 
 def _closure(gens, mul, identity):
-    """The set generated from `identity` by right multiplication with `gens`."""
-    seen = {identity}
+    """The set generated from `identity` by right multiplication with `gens`,
+    as a parent tree {y: (w, g)} with y = w*g, parents inserted first."""
+    tree = {identity: None}
     frontier = [identity]
     while frontier:
         x = frontier.pop()
         for g in gens:
             y = mul(x, g)
-            if y not in seen:
-                seen.add(y)
-                if len(seen) > MAX_ORDER:
+            if y not in tree:
+                tree[y] = (x, g)
+                if len(tree) > MAX_ORDER:
                     raise ValueError(f"generated group exceeds order {MAX_ORDER}")
                 frontier.append(y)
-    return seen
+    return tree
 
 
 class FiniteGroup:
     """A finite group on the indices 0..|G|-1 with Cayley and inverse tables.
 
-    `mul` multiplies concrete elements; it is called |G|^2 times, here only.
-    `inv`, if given, is the concrete inverse and is checked against the
-    inverse table, which is read off the rows of the Cayley table.
+    `mul` multiplies concrete elements and must be associative.  It is called
+    here only, for the column x -> x*y of the identity and of each greedy
+    generator y (the least index outside the subgroup the earlier ones
+    generate).  Every other y is reached as y = w*g by the closure walk, and
+    its column is x*y = (x*w)*g, two lookups.  `inv`, if given, is the
+    concrete inverse and is checked against the inverse table, which is read
+    off the rows of the Cayley table.
     """
 
     def __init__(self, elements, mul, inv, identity, name=""):
@@ -59,12 +66,25 @@ class FiniteGroup:
         index = {x: i for i, x in enumerate(labels)}
         if identity not in index:
             raise ValueError("the identity is not an element")
+        e = index[identity]
+        cols = [None] * n
+        gens, tree = [], {e: None}
         try:
-            table = tuple(tuple(index[mul(x, y)] for y in labels) for x in labels)
+            cols[e] = [index[mul(x, identity)] for x in labels]
+            for g in range(n):
+                if g in tree:
+                    continue
+                cols[g] = [index[mul(x, labels[g])] for x in labels]
+                gens.append(g)
+                tree = _closure(gens, lambda x, s: cols[s][x], e)
+                for y, parent in tree.items():
+                    if cols[y] is None:
+                        w, s = parent
+                        cols[y] = list(map(cols[s].__getitem__, cols[w]))
         except KeyError:
             raise ValueError("the elements are not closed under multiplication") from None
-        e = index[identity]
-        if table[e] != tuple(range(n)) or any(row[e] != i for i, row in enumerate(table)):
+        table = tuple(zip(*cols))
+        if table[e] != tuple(range(n)) or cols[e] != list(range(n)):
             raise ValueError("the identity does not act trivially")
         try:
             inverse = tuple(row.index(e) for row in table)
@@ -79,6 +99,7 @@ class FiniteGroup:
         self.identity = e
         self.elements = range(n)
         self.name = name
+        self._generators = tuple(gens)
 
     def __len__(self):
         return len(self.elements)
@@ -102,13 +123,8 @@ class FiniteGroup:
         return frozenset(_closure(list(gens), self.mul, self.identity))
 
     def generators(self):
-        """A generating set, chosen greedily in index order."""
-        gens, H = [], {self.identity}
-        for g in self.elements:
-            if g not in H:
-                gens.append(g)
-                H = self.generate(gens)
-        return gens
+        """The greedy generators found by the build, in index order."""
+        return list(self._generators)
 
     def conjugate(self, g, H):
         """g H g^{-1}."""

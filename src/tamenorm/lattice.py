@@ -196,37 +196,6 @@ def _check_compatible(L1, L2):
 
 
 # ---------------------------------------------------------------------------
-# chains
-
-@dataclass(frozen=True)
-class LatticeChain:
-    """A chain L_r < L_{r-1} < ... < L_0, all inclusions strict.
-
-    `elements` is ordered largest lattice first; the length is the number of
-    strict inclusions, so a single lattice has length 0.
-    """
-
-    elements: tuple
-
-    def __post_init__(self):
-        e = tuple(self.elements)
-        if not e:
-            raise ValueError("empty chain")
-        for a, b in zip(e, e[1:]):
-            if not (contains(a, b) and a != b):
-                raise ValueError("chain elements must strictly decrease")
-        object.__setattr__(self, "elements", e)
-
-    @property
-    def length(self):
-        return len(self.elements) - 1
-
-    @property
-    def smallest(self):
-        return self.elements[-1]
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 
 def _subspace_rrefs(n, d, ell):

@@ -280,6 +280,26 @@ def _ring_class_groups(bound):
     )
 
 
+def test_class_group_table_matches_composition():
+    # the table built from the generator columns against Gauss composition on
+    # every pair, and the build's generators against the greedy definition
+    groups = 0
+    for cl in _ring_class_groups(2000):
+        if -cl.discriminant > 1500:
+            continue
+        lab, index = cl.labels, cl.index
+        for i, f in enumerate(lab):
+            assert cl.inverse[i] == index[f.inverse()], cl.name
+            assert cl.table[i] == tuple(index[compose(f, g)] for g in lab), cl.name
+        gens, H = [], {cl.identity}
+        while len(H) < cl.order:
+            gens.append(min(set(cl.elements) - H))
+            H = cl.generate(gens)
+        assert cl.generators() == gens, cl.name
+        groups += 1
+    assert groups == 750
+
+
 def test_character_group_matches_search():
     # same characters in the same order as the exhaustive exponent search
     groups = 0

@@ -1,6 +1,7 @@
 """The index-based FiniteGroup against the concrete-element RefGroup oracle."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -105,6 +106,8 @@ def test_table_rejects_a_non_group():
         FiniteGroup([1, 2], mul, None, 1)
     with pytest.raises(ValueError, match="identity"):
         FiniteGroup([1, 3], mul, None, 3)
+    with pytest.raises(ValueError, match="identity"):   # e*g = g but x*e != x
+        FiniteGroup([0, 1], lambda a, b: b, None, 0)
     with pytest.raises(ValueError, match="inv"):
         FiniteGroup([1, 3], mul, lambda a: 1, 1)
     assert len(FiniteGroup([1, 3], mul, lambda a: a, 1)) == 2
@@ -116,6 +119,22 @@ def test_order_cap():
     with pytest.raises(ValueError, match="exceeds"):
         FiniteGroup(range(MAX_ORDER + 1), lambda a, b: (a + b) % (MAX_ORDER + 1), None, 0)
     assert len(FiniteGroup(range(MAX_ORDER), lambda a, b: (a + b) % MAX_ORDER, None, 0)) == MAX_ORDER
+
+
+@pytest.mark.parametrize("elements,mul,identity", [
+    (range(1000), lambda a, b: (a + b) % 1000, 0),
+    (list(permutations(range(4))), lambda p, q: tuple(p[i] for i in q), (0, 1, 2, 3)),
+], ids=["Z1000", "S4"])
+def test_build_multiplies_one_column_per_generator(elements, mul, identity):
+    # concrete products only for the identity column and each generator column
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    G = FiniteGroup(elements, counted, None, identity)
+    assert len(calls) <= (len(G.generators()) + 1) * len(G)
 
 
 def test_functor_model_rejects_a_left_action():

@@ -7,7 +7,6 @@ from tamenorm import lattice
 from tamenorm.lattice import (
     BoundExceeded,
     InvariantVec,
-    LatticeChain,
     LatticeClass,
     contains,
     enumerate_sublattices,
@@ -153,20 +152,6 @@ def test_enumerate_sublattices_examples():
         assert enumerate_sublattices(InvariantVec((1, 1)), Z2) == 1
         L1 = diag_lattice([1, 0], ell)
         assert enumerate_sublattices(InvariantVec((1, 0)), L1) == 1
-
-
-def test_lattice_chain_validation():
-    ell = 2
-    Z2 = LatticeClass.standard(2, ell)
-    S = diag_lattice([1, 1], ell)
-    L1 = diag_lattice([1, 0], ell)
-    ch = LatticeChain((L1, S))
-    assert ch.length == 1
-    assert ch.smallest == S
-    with pytest.raises(ValueError):
-        LatticeChain((S, L1))     # wrong direction
-    with pytest.raises(ValueError):
-        LatticeChain((Z2, Z2))    # not strict
 
 
 def test_chain_structure_matches_worked_example():

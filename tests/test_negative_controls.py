@@ -101,6 +101,26 @@ def test_tower_fails_on_perturbed_kernel(tmp_path, monkeypatch):
     assert code == 1
 
 
+def test_tower_fails_on_a_norm_map_that_is_not_a_homomorphism(tmp_path, monkeypatch):
+    # the first class outside the kernel is sent to the principal form instead
+    real = classfield.ideal_extension_form
+    moved = []
+
+    def fake(f, d_E, cond_big, cond_small):
+        img = real(f, d_E, cond_big, cond_small)
+        principal = classfield.principal_form(d_E * cond_small * cond_small)
+        if not moved and img != principal:
+            moved.append(f)
+            return principal
+        return img
+
+    monkeypatch.setattr(classfield, "ideal_extension_form", fake)
+    code, cert = run(["tower", "--disc", "-23", "--m", "1", "--ell", "3"], tmp_path)
+    assert moved and code == 1
+    assert cert["results"]["h_small"] == 3
+    assert cert["results"]["norm_map"]["homomorphism"] is False
+
+
 def test_norm_relation_fails_on_perturbed_l_value(tmp_path, monkeypatch):
     # step 5 at both levels compares P at chi(Fr) with the product formula
     real = lfactor.local_l_inverse
