@@ -205,14 +205,6 @@ def _ideal_hnf(gens):
     return x, e, d
 
 
-def ideal_product_form(f, g, d_E, cond):
-    """The reduced form of the ideal product I(f) I(g): the composition oracle."""
-    I = form_to_ideal(f, d_E, cond)
-    J = form_to_ideal(g, d_E, cond)
-    gens = [_elt_mul(x, y, d_E) for x in I for y in J]
-    return _ideal_to_form(gens, d_E, cond)
-
-
 def _ideal_to_form(gens, d_E, cond):
     x, e, d = _ideal_hnf(gens)
     # a proper O_cond-module has omega-content d divisible by the integer

@@ -22,6 +22,7 @@ from .lfactor import CharacterValue, SatakeParams
 
 SCHEMA = "trc-1"
 MAX_SAMPLES = 1000  # largest mackey-test --samples
+_PLAIN = {int, str, bool, type(None)}
 
 
 def _certificate(command, inputs, results, stages):
@@ -42,6 +43,8 @@ def _certificate(command, inputs, results, stages):
 
 
 def _jsonable(x):
+    """`x` with exact numbers as strings and every dict key a str (for
+    `sort_keys`); a sequence of plain values goes through uncopied."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, ExactScalar):
@@ -49,6 +52,8 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
+        if _PLAIN.issuperset(map(type, x)):
+            return x
         return [_jsonable(v) for v in x]
     return x
 

@@ -13,7 +13,7 @@ measure identity that pins down the lambda coefficients of module `qcomb`.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import prod
 
 from . import qcomb
@@ -238,28 +238,46 @@ def enumerate_X_ge1(n, ell):
     return out
 
 
-def _hnf_candidates(n, ell, depth):
-    """All HNF bases with diagonal exponents <= depth.
-
-    Every sublattice of Z^n whose largest invariant exponent is <= depth has
-    all HNF diagonal exponents <= depth (it contains ell^depth Z^n), so this
-    family is a superset of any fixed-depth invariant stratum.
+def _row_tails(lower, i, n, q):
+    """Off-diagonal parts x of HNF row i, increasing, with q (0,..,0,x) in the
+    span of `lower`, the rows below it: the column reduction of `contains`
+    solved for x.  At column j, q x_j plus what the rows subtracted so far
+    left there, r_j, must be divisible by the pivot d_j.  As q and d_j are
+    powers of ell, with g = min(q, d_j) that needs g | r_j and fixes
+    x_j = -r_j / g mod d_j / g.
     """
-    for diag_exps in product(range(depth + 1), repeat=n):
-        diag = [ell ** e for e in diag_exps]
-        off_ranges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                off_ranges.append(range(diag[j]))
-        for off in product(*off_ranges):
-            M = [[0] * n for _ in range(n)]
-            t = 0
-            for i in range(n):
-                M[i][i] = diag[i]
-                for j in range(i + 1, n):
-                    M[i][j] = off[t]
-                    t += 1
-            yield tuple(tuple(r) for r in M)
+    states = [((), [0] * n)]
+    for j, H in enumerate(lower, i + 1):
+        g = min(q, H[j])
+        step = H[j] // g
+        grown = []
+        for x, r in states:
+            if r[j] % g == 0:
+                for xj in range((-r[j] // g) % step, H[j], step):
+                    c = (q * xj + r[j]) // H[j]
+                    grown.append((x + (xj,), [a - c * b for a, b in zip(r, H)]))
+        states = grown
+    return [x for x, _ in states]
+
+
+def _lattice_bases(n, ell, depth):
+    """The canonical HNF bases of the lattices L with ell^depth Z^n <= L <= Z^n.
+
+    They come in the order of the product over all HNF bases with diagonal
+    exponents <= depth (diagonal first, then off-diagonal entries row-major),
+    on which a sweep's first failing witness depends.  Rows are built from the
+    bottom up; row i, with diagonal ell^(e_i), is admissible iff ell^depth e_i
+    lies in L, that is iff ell^(depth - e_i) (0,..,0,x) is in the rows below.
+    """
+    for exps in product(range(depth + 1), repeat=n):
+        bases = [()]
+        for i in range(n - 1, -1, -1):
+            head = (0,) * i + (ell ** exps[i],)
+            q = ell ** (depth - exps[i])
+            bases = [(head + x,) + lower for lower in bases
+                     for x in _row_tails(lower, i, n, q)]
+        bases.sort()
+        yield from bases
 
 
 def _is_canonical_hnf(basis, ell):
@@ -279,18 +297,11 @@ def _is_canonical_hnf(basis, ell):
     return True
 
 
-def _column_counts(n, ell, depth):
-    """HNF choices per column: column j has j entries above its diagonal
-    ell^e, each in [0, ell^e), so sum_{e <= depth} ell^(j e) of them."""
-    for j in range(n):
-        yield sum(ell ** (j * e) for e in range(depth + 1))
-
-
 class _Sublattices:
-    """The canonical LatticeClass with HNF diagonal exponents <= depth, lazily.
+    """The lattices between ell^depth Z^n and Z^n as canonical LatticeClass.
 
-    Iterating builds one candidate at a time; len() is the closed-form count
-    prod_j sum_{e <= depth} ell^(j e) of `_hnf_candidates`.
+    Iterating builds them one diagonal at a time; len() is their number,
+    Birkhoff's count of the subgroups of (Z/ell^depth)^n.
     """
 
     __slots__ = ("n", "ell", "depth")
@@ -299,27 +310,34 @@ class _Sublattices:
         self.n, self.ell, self.depth = n, ell, depth
 
     def __len__(self):
-        return prod(_column_counts(self.n, self.ell, self.depth))
+        # Macdonald, Symmetric Functions and Hall Polynomials, II (1.6): a sum
+        # over the types mu <= (depth^n), here their conjugates c, of
+        # prod_i ell^(c_{i+1} (n - c_i)) [n - c_{i+1}, c_i - c_{i+1}]_ell
+        n, ell, total = self.n, self.ell, 0
+        for conj in combinations_with_replacement(range(n, -1, -1), self.depth):
+            c = conj + (0,)
+            total += prod(ell ** (c[i + 1] * (n - c[i]))
+                          * qcomb.q_binomial(n - c[i + 1], c[i] - c[i + 1], ell)
+                          for i in range(self.depth))
+        return total
 
     def __iter__(self):
         n, ell = self.n, self.ell
-        for basis in _hnf_candidates(n, ell, self.depth):
+        for basis in _lattice_bases(n, ell, self.depth):
             assert _is_canonical_hnf(basis, ell)
             yield LatticeClass(ell, n, basis)
 
 
 def sublattices_up_to_depth(n, ell, depth):
-    """All LatticeClass with HNF diagonal exponents <= depth (canonical forms),
-    as a sized iterable that enumerates them as it is iterated."""
+    """Every L with ell^depth Z^n <= L <= Z^n, that is every sublattice of Z^n
+    whose invariant entries are <= depth, as a sized iterable that builds the
+    canonical forms as it is iterated."""
     return _Sublattices(n, ell, depth)
 
 
 def enumerate_sublattices(nu, of):
     """Number of sublattices of `of` whose position relative to Z^n is nu."""
-    if isinstance(nu, InvariantVec):
-        nu = tuple(nu.exponents)
-    else:
-        nu = tuple(nu)
+    nu = tuple(nu)  # an InvariantVec iterates over its exponents
     if any(e < 0 for e in nu):
         raise ValueError("invariant entries must be >= 0 for sublattices of Z^n")
     depth = max(nu) if nu else 0
@@ -394,9 +412,6 @@ def verify_inclusion_exclusion(n, ell, depth):
 
     cases = 0
     for L in sublattices_up_to_depth(n, ell, depth):
-        inv = relative_position(L)
-        if max(inv.exponents) > depth:
-            continue
         S = [k for k in range(M) if contains(members[k], L)]
         in_S = [False] * M
         for k in S:
@@ -441,8 +456,6 @@ def verify_measure_identity(n, ell, depth):
     within = [dict() for _ in range(n)]
     for L in sublattices_up_to_depth(n, ell, depth):
         nu = tuple(relative_position(L).exponents)
-        if max(nu) > depth:
-            continue
         total[nu] = total.get(nu, 0) + 1
         for m in range(n):
             if contains(t_lattices[m], L):
@@ -500,12 +513,21 @@ def _check_request(n, ell, depth):
         raise ValueError(f"ell must be prime, got {ell}")
     if depth > MAX_DEPTH:
         raise BoundExceeded(f"depth {depth} exceeds bound {MAX_DEPTH}")
+    if _candidate_count(n, ell, depth) > MAX_CANDIDATES:
+        raise BoundExceeded(f"rank {n}, ell = {ell}, depth {depth}: more than "
+                            f"{MAX_CANDIDATES} HNF candidates")
+
+
+def _candidate_count(n, ell, depth):
+    """prod_j sum_{e <= depth} ell^(j e), the number of HNF bases with diagonal
+    exponents <= depth (column j has j entries in [0, ell^e) above its
+    diagonal ell^e); the product stops once it is past MAX_CANDIDATES."""
     count = 1
-    for c in _column_counts(n, ell, depth):
-        count *= c
+    for j in range(n):
+        count *= sum(ell ** (j * e) for e in range(depth + 1))
         if count > MAX_CANDIDATES:
-            raise BoundExceeded(f"rank {n}, ell = {ell}, depth {depth}: more than "
-                                f"{MAX_CANDIDATES} HNF candidates")
+            break
+    return count
 
 
 def _cert(identity, n, ell, depth, cases, ok, failure, extra=None):

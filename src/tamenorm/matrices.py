@@ -140,18 +140,6 @@ def ell_normalize(rows, ell):
     return H
 
 
-def smith_ell_exponents(M, ell):
-    """ell-exponents of the elementary divisors of a nonsingular integer matrix.
-
-    k = v_ell(det M) comes from a Bareiss determinant; the elimination is
-    `smith_ell_exponents_k`.  Returned weakly increasing.
-    """
-    det = mat_det(M)
-    if det == 0:
-        raise ValueError("singular matrix")
-    return smith_ell_exponents_k(M, ell, v_ell(det, ell))
-
-
 def smith_ell_exponents_k(M, ell, k):
     """The ell-exponents of the elementary divisors of M, given k = v_ell(det M).
 

@@ -17,7 +17,13 @@ are powers.  `ref_character_group` is the exponent search, and
 `ref_characters_orthogonal` the exact orthogonality check, that the direct
 construction in tamenorm.classfield.character_group replaced;
 `ref_chain_count` is the sum over dimension sets that the recurrence in
-tamenorm.qcomb.chain_count replaced.
+tamenorm.qcomb.chain_count replaced.  `ref_hnf_candidates` is every HNF basis
+up to a diagonal depth, and `ref_sublattices_up_to_depth` keeps those whose
+Smith exponents are within the depth: the sweep that
+tamenorm.lattice.sublattices_up_to_depth replaced by building only the
+lattices between ell^depth Z^n and Z^n.  `smith_ell_exponents` (k from a
+Bareiss determinant) and `ideal_product_form` (composition by ideal
+multiplication) are routes that only the tests take.
 """
 
 from collections import namedtuple
@@ -28,12 +34,15 @@ from math import gcd, lcm, prod
 
 from tamenorm import hecke
 from tamenorm.exactnum import ExactScalar
-from tamenorm.lattice import LatticeClass
+from tamenorm.classfield import _elt_mul, _ideal_to_form, form_to_ideal
+from tamenorm.lattice import LatticeClass, relative_position
 from tamenorm.matrices import (
     all_matrices_mod,
     ell_normalize,
     gl_generators,
     inv_mod_matrix_q,
+    mat_det,
+    smith_ell_exponents_k,
     v_ell,
 )
 from tamenorm.qcomb import q_binomial
@@ -466,6 +475,39 @@ def ref_join(L1, L2):
     return LatticeClass.from_rows(out, ell)
 
 
+def smith_ell_exponents(M, ell):
+    """Elementary-divisor ell-exponents with k = v_ell(det M) from a Bareiss
+    determinant, the route for a matrix that is not triangular."""
+    det = mat_det(M)
+    if det == 0:
+        raise ValueError("singular matrix")
+    return smith_ell_exponents_k(M, ell, v_ell(det, ell))
+
+
+def ref_hnf_candidates(n, ell, depth):
+    """Every HNF basis with diagonal exponents <= depth, as LatticeClass, in
+    product order: by diagonal exponents, then off-diagonal entries row-major."""
+    for diag_exps in product(range(depth + 1), repeat=n):
+        diag = [ell ** e for e in diag_exps]
+        off_ranges = [range(diag[j]) for i in range(n) for j in range(i + 1, n)]
+        for off in product(*off_ranges):
+            M = [[0] * n for _ in range(n)]
+            t = 0
+            for i in range(n):
+                M[i][i] = diag[i]
+                for j in range(i + 1, n):
+                    M[i][j] = off[t]
+                    t += 1
+            yield LatticeClass(ell, n, tuple(tuple(r) for r in M))
+
+
+def ref_sublattices_up_to_depth(n, ell, depth):
+    """The lattices between ell^depth Z^n and Z^n: the HNF candidates whose
+    largest invariant exponent is <= depth, in candidate order."""
+    return [L for L in ref_hnf_candidates(n, ell, depth)
+            if max(relative_position(L).exponents) <= depth]
+
+
 def ref_verify_reduction(X, U, V, r, m, ctx):
     """The U_m witness check over Q: k = (g_r,1)^{-1} h^{-1} g_X lies in K."""
     ell = ctx.ell
@@ -793,3 +835,11 @@ def ref_chain_count(j, m, ell):
             prev = d
         total += count
     return total
+
+
+def ideal_product_form(f, g, d_E, cond):
+    """The reduced form of the ideal product I(f) I(g): the composition oracle."""
+    I = form_to_ideal(f, d_E, cond)
+    J = form_to_ideal(g, d_E, cond)
+    gens = [_elt_mul(x, y, d_E) for x in I for y in J]
+    return _ideal_to_form(gens, d_E, cond)

@@ -14,7 +14,6 @@ from tamenorm.classfield import (
     compose,
     frobenius_class,
     ideal_extension_form,
-    ideal_product_form,
     is_fundamental_discriminant,
     kronecker,
     norm_map,
@@ -26,7 +25,7 @@ from tamenorm.classfield import (
 from tamenorm.exactnum import ExactScalar
 from tamenorm.fingroup import FiniteGroup
 
-from oracles import ref_character_group, ref_characters_orthogonal
+from oracles import ideal_product_form, ref_character_group, ref_characters_orthogonal
 
 
 def test_kronecker_basics():

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from oracles import ref_contains, ref_join, ref_smith_ell_exponents
+from oracles import (
+    ref_contains,
+    ref_hnf_candidates,
+    ref_join,
+    ref_smith_ell_exponents,
+    ref_sublattices_up_to_depth,
+    smith_ell_exponents,
+)
 from tamenorm import lattice
 from tamenorm.lattice import (
     BoundExceeded,
@@ -18,10 +25,12 @@ from tamenorm.lattice import (
     verify_inclusion_exclusion,
     verify_measure_identity,
 )
-from tamenorm.matrices import mat_det, smith_ell_exponents
+from tamenorm.matrices import mat_det
 from tamenorm.qcomb import QCombContext, lambda_coefficients, q_binomial
 
 ORACLE_CELLS = [(n, ell) for n in (1, 2, 3) for ell in (2, 3)] + [(2, 5)]
+# the acceptance grid of criteria 2 and 3
+LATTICE_GRID = [(n, ell, 2) for n in (1, 2, 3) for ell in (2, 3, 5)] + [(4, 2, 1)]
 
 
 def diag_lattice(exps, ell):
@@ -205,7 +214,7 @@ def test_enumerate_sublattices_depth_bound():
 @pytest.mark.parametrize("n,ell", ORACLE_CELLS)
 def test_relative_position_matches_minor_oracle(n, ell):
     # the sweeps' path: k = v_ell(det) read off the HNF diagonal
-    for L in sublattices_up_to_depth(n, ell, 2):
+    for L in ref_hnf_candidates(n, ell, 2):
         want = tuple(sorted(ref_smith_ell_exponents(L.basis, ell), reverse=True))
         assert relative_position(L).exponents == want, L
 
@@ -230,11 +239,11 @@ def test_smith_exponents_match_minor_oracle_on_random_matrices():
 
 @pytest.mark.parametrize("n,ell", ORACLE_CELLS)
 def test_contains_matches_fraction_oracle(n, ell):
-    shallow = list(sublattices_up_to_depth(n, ell, 1))
+    shallow = list(ref_hnf_candidates(n, ell, 1))
     for a in shallow:
         for b in shallow:
             assert contains(a, b) == ref_contains(a, b), (a, b)
-    deep = list(sublattices_up_to_depth(n, ell, 2))
+    deep = list(ref_hnf_candidates(n, ell, 2))
     rng = random.Random(n * 100 + ell)
     for _ in range(300):
         a, b = rng.choice(deep), rng.choice(deep)
@@ -247,7 +256,7 @@ def test_join_matches_fraction_oracle(n, ell):
     for a in members:
         for b in members:
             assert join(a, b) == ref_join(a, b), (a, b)
-    deep = list(sublattices_up_to_depth(n, ell, 2))
+    deep = list(ref_hnf_candidates(n, ell, 2))
     rng = random.Random(n * 1000 + ell)
     for _ in range(200):
         a, b = rng.choice(deep), rng.choice(deep)
@@ -261,11 +270,27 @@ def test_verifiers_reject_depth_below_one(verify, depth):
         verify(2, 3, depth)
 
 
+@pytest.mark.parametrize("n,ell,depth",
+                         LATTICE_GRID + [(3, 7, 1), (4, 3, 1), (2, 7, 3), (1, 5, 4)])
+def test_sublattices_match_candidate_oracle(n, ell, depth):
+    # same lattices in the same order as filtering every HNF candidate by its
+    # Smith exponents, which fixes the sweeps' first failing witness
+    lattices = sublattices_up_to_depth(n, ell, depth)
+    got, want = list(lattices), ref_sublattices_up_to_depth(n, ell, depth)
+    assert [L.basis for L in got] == [L.basis for L in want]
+    assert len(lattices) == len(want)
+    for L in got:
+        assert lattice._is_canonical_hnf(L.basis, ell)
+        assert max(relative_position(L).exponents) <= depth
+
+
 @pytest.mark.parametrize("n,ell,depth", [(1, 2, 3), (2, 3, 2), (3, 2, 2), (3, 5, 2), (4, 2, 1)])
 def test_candidate_count_is_closed_form(n, ell, depth):
-    # sum over diagonal exponents e of prod_{i<j} ell^(e_j)
-    cands = sublattices_up_to_depth(n, ell, depth)
-    assert len(cands) == sum(1 for _ in cands)
+    # the cap's count prod_j sum_{e <= depth} ell^(j e) is that of every HNF
+    # candidate; len() is Birkhoff's count of the lattices actually swept
+    assert lattice._candidate_count(n, ell, depth) == sum(1 for _ in ref_hnf_candidates(n, ell, depth))
+    lattices = sublattices_up_to_depth(n, ell, depth)
+    assert len(lattices) == sum(1 for _ in lattices)
 
 
 @pytest.mark.parametrize("verify", [verify_inclusion_exclusion, verify_measure_identity])
@@ -276,10 +301,12 @@ def test_verifiers_refuse_beyond_bounds(verify, n, ell, depth):
 
 
 def test_candidate_cap_admits_documented_cells():
-    # rank 4 at depth 1 and rank 3 at depth 2, up to ell = 7, and every grid
-    counts = {(4, 7, 1): 275200, (3, 7, 2): 419121, (3, 5, 2): 60543}
-    for (n, ell, depth), count in counts.items():
-        assert len(sublattices_up_to_depth(n, ell, depth)) == count
+    # rank 4 at depth 1 and rank 3 at depth 2, up to ell = 7, and every grid;
+    # the cap counts HNF candidates, of which the sweep builds only the lattices
+    counts = {(4, 7, 1): (275200, 3652), (3, 7, 2): (419121, 9009), (3, 5, 2): (60543, 2607)}
+    for (n, ell, depth), (candidates, lattices) in counts.items():
+        assert lattice._candidate_count(n, ell, depth) == candidates
+        assert len(sublattices_up_to_depth(n, ell, depth)) == lattices
         lattice._check_request(n, ell, depth)
 
 

@@ -152,6 +152,24 @@ def test_fourier_inversion_fails_on_duplicated_character(monkeypatch):
     assert cert["pass"] is False
 
 
+def test_measure_identity_fails_on_a_dropped_lattice(monkeypatch):
+    # Z + 3Z lies in no Lambda_{t_m} (its first row is e_1), so dropping it
+    # from the sweep lowers the left side of the count at inv (1, 0) only
+    real = lattice._lattice_bases
+    dropped = ((1, 0), (0, 3))
+    assert dropped in set(real(2, 3, 2))
+
+    def fake(n, ell, depth):
+        return (basis for basis in real(n, ell, depth) if basis != dropped)
+
+    monkeypatch.setattr(lattice, "_lattice_bases", fake)
+    cert = lattice.verify_measure_identity(2, 3, 2)
+    assert cert["pass"] is False
+    assert cert["first_failure"]["invariant"] == [1, 0]
+    lattices = lattice.sublattices_up_to_depth(2, 3, 2)
+    assert len(lattices) != sum(1 for _ in lattices)
+
+
 def _failed(real):
     """`real`, with the `pass` of the certificate it returns set to False."""
     def fake(*args):
