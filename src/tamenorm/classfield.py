@@ -11,8 +11,11 @@ GEOMETRIC Frobenius; arithmetic Frobenius is its inverse class.  Every
 certificate names the orientation explicitly.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd, lcm
+from functools import cached_property
+from itertools import chain
+from math import gcd, isqrt, lcm
 
 from .fingroup import FiniteGroup
 from .matrices import hnf_rows, is_prime
@@ -32,15 +35,21 @@ def kronecker(d, p):
     return 1 if pow(d, (p - 1) // 2, p) == 1 else -1
 
 
-def is_fundamental_discriminant(d):
+def _fundamental_radicand(d):
+    """The n > 0 with d < 0 fundamental iff n is squarefree, else 0: n = -d
+    for d = 1 (mod 4), n = -d/4 for d = 4k with k = 2, 3 (mod 4)."""
     if d >= 0:
-        return False
+        return 0
     if d % 4 == 1:
-        return _squarefree(-d)
-    if d % 4 == 0:
-        k = d // 4
-        return k % 4 in (2, 3) and _squarefree(-k) if k % 4 != 1 else False
-    return False
+        return -d
+    if d % 16 in (8, 12):
+        return -d // 4
+    return 0
+
+
+def is_fundamental_discriminant(d):
+    n = _fundamental_radicand(d)
+    return n > 0 and _squarefree(n)
 
 
 def _squarefree(n):
@@ -269,9 +278,14 @@ class FormClassGroup(FiniteGroup):
             k += 1
         return k
 
+    @cached_property
+    def element_orders(self):
+        """The order of every class in index order, walked once per group."""
+        return [self.element_order(i) for i in self.elements]
+
     @property
     def exponent(self):
-        return lcm(*(self.element_order(i) for i in self.elements))
+        return lcm(*self.element_orders)
 
     def class_number_formula_certificate(self):
         """h(O_m) = h(d_E) m prod_{p | m} (1 - (d_E|p)/p) / [O_E^* : O_m^*]."""
@@ -292,7 +306,7 @@ class FormClassGroup(FiniteGroup):
         For each prime p | h the counts n_j = #{x : x^(p^j) = 1} give the
         number of cyclic p-factors of order >= p^j as log_p(n_j / n_(j-1)).
         """
-        orders = [self.element_order(i) for i in self.elements]
+        orders = self.element_orders
         factors = []
         for p in _prime_divisors(self.order):
             ranks = []  # ranks[j - 1] = number of cyclic p-factors of order >= p^j
@@ -487,23 +501,38 @@ def character_group(cl):
 # the batched class-number sweep (for the acceptance criterion)
 
 def class_number_table(bound):
-    """h(D) for every discriminant 0 > D >= -bound, by one pass over all
-    primitive reduced triples (a, b, c)."""
-    h = {}
-    a = 1
-    while 3 * a * a <= bound:
-        for b in range(-a + 1, a + 1):
-            c = a
-            while True:
-                D = b * b - 4 * a * c
-                if D < -bound:
-                    break
-                if D < 0 and not (a == c and b < 0):
-                    if gcd(gcd(a, b), c) == 1:
-                        h[D] = h.get(D, 0) + 1
-                c += 1
-        a += 1
-    return h
+    """h(D) for every discriminant 0 > D >= -bound, counting the primitive
+    reduced triples (a, b, c).
+
+    For fixed (a, b) the reduced triples have a + (b < 0) <= c <= cmax with
+    b^2 - 4 a cmax >= -bound, and gcd(a, b, c) = gcd(g, c) for g = gcd(a, b).
+    So the discriminants of the primitive ones are one arithmetic progression
+    of step 4 a g for each residue r mod g prime to g, and `Counter` counts
+    each progression, a `range`, in C."""
+    def progressions():
+        a = 1
+        while 3 * a * a <= bound:
+            for b in range(-a + 1, a + 1):
+                g = gcd(a, b)
+                c0 = a + (b < 0)
+                stop = b * b - 4 * a * ((b * b + bound) // (4 * a)) - 1
+                for r in range(g):
+                    if gcd(r, g) == 1:
+                        c = c0 + (r - c0) % g
+                        yield range(b * b - 4 * a * c, stop, -4 * a * g)
+            a += 1
+
+    return Counter(chain.from_iterable(progressions()))
+
+
+def fundamental_discriminants(bound):
+    """Every fundamental discriminant 0 > d >= -bound, in decreasing order,
+    read off one squarefree sieve up to bound."""
+    squarefree = bytearray([0]) + bytearray([1]) * bound  # 0: d of no fundamental shape
+    for i in range(2, isqrt(bound) + 1):
+        squarefree[i * i::i * i] = bytes(bound // (i * i))
+    return [d for d in range(-3, -bound - 1, -1)
+            if squarefree[_fundamental_radicand(d)]]
 
 
 def class_number_formula_sweep(bound):
@@ -517,21 +546,18 @@ def class_number_formula_sweep(bound):
     table = class_number_table(bound)
     checked = 0
     failures = []
-    d = -3
-    while -d <= bound:
-        if is_fundamental_discriminant(d):
-            h_fund = table.get(d, 0)
-            m = 1
-            while -d * m * m <= bound:
-                num, den = _class_number_formula(d, m, h_fund)
-                expected, rem = divmod(num, den)
-                got = table.get(d * m * m, 0)
-                if rem != 0 or expected != got:
-                    failures.append({"d_E": d, "m": m, "enumerated": got,
-                                     "formula": f"{num}/{den}"})
-                checked += 1
-                m += 1
-        d -= 1
+    for d in fundamental_discriminants(bound):
+        h_fund = table.get(d, 0)
+        m = 1
+        while -d * m * m <= bound:
+            num, den = _class_number_formula(d, m, h_fund)
+            expected, rem = divmod(num, den)
+            got = table.get(d * m * m, 0)
+            if rem != 0 or expected != got:
+                failures.append({"d_E": d, "m": m, "enumerated": got,
+                                 "formula": f"{num}/{den}"})
+            checked += 1
+            m += 1
     return {
         "identity": "class_number_formula_sweep",
         "bound": bound,

@@ -24,6 +24,9 @@ tamenorm.lattice.sublattices_up_to_depth replaced by building only the
 lattices between ell^depth Z^n and Z^n.  `smith_ell_exponents` (k from a
 Bareiss determinant) and `ideal_product_form` (composition by ideal
 multiplication) are routes that only the tests take.
+`ref_class_number_table` is the triple-by-triple loop over the reduced forms
+that tamenorm.classfield.class_number_table replaced by counting one
+arithmetic progression of discriminants per (a, b) and residue class of c.
 """
 
 from collections import namedtuple
@@ -843,3 +846,27 @@ def ideal_product_form(f, g, d_E, cond):
     J = form_to_ideal(g, d_E, cond)
     gens = [_elt_mul(x, y, d_E) for x in I for y in J]
     return _ideal_to_form(gens, d_E, cond)
+
+
+# ---------------------------------------------------------------------------
+# the class-number table, one triple at a time
+
+
+def ref_class_number_table(bound, primitive=True):
+    """h(D) for every 0 > D >= -bound, one reduced triple (a, b, c) at a time;
+    with primitive=False it also counts the triples with gcd(a, b, c) > 1."""
+    h = {}
+    a = 1
+    while 3 * a * a <= bound:
+        for b in range(-a + 1, a + 1):
+            c = a
+            while True:
+                D = b * b - 4 * a * c
+                if D < -bound:
+                    break
+                if D < 0 and not (a == c and b < 0):
+                    if not primitive or gcd(gcd(a, b), c) == 1:
+                        h[D] = h.get(D, 0) + 1
+                c += 1
+        a += 1
+    return h

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from functools import lru_cache
 from itertools import permutations
@@ -11,8 +13,10 @@ from tamenorm.classfield import (
     TowerStep,
     character_group,
     class_number_formula_sweep,
+    class_number_table,
     compose,
     frobenius_class,
+    fundamental_discriminants,
     ideal_extension_form,
     is_fundamental_discriminant,
     kronecker,
@@ -25,7 +29,12 @@ from tamenorm.classfield import (
 from tamenorm.exactnum import ExactScalar
 from tamenorm.fingroup import FiniteGroup
 
-from oracles import ideal_product_form, ref_character_group, ref_characters_orthogonal
+from oracles import (
+    ideal_product_form,
+    ref_character_group,
+    ref_characters_orthogonal,
+    ref_class_number_table,
+)
 
 
 def test_kronecker_basics():
@@ -345,7 +354,52 @@ def test_character_group_refuses_non_generating_set():
 def test_class_number_sweep_small():
     rep = class_number_formula_sweep(2000)
     assert rep["pass"], rep
-    assert rep["cases_checked"] > 300
+    assert rep["cases_checked"] == 1000
+
+
+def test_class_number_table_matches_triple_loop_small():
+    for bound in range(3, 301):
+        assert class_number_table(bound) == ref_class_number_table(bound), bound
+
+
+@pytest.mark.parametrize("bound", [2000, 10 ** 4, 10200])
+def test_class_number_table_matches_triple_loop(bound):
+    assert class_number_table(bound) == ref_class_number_table(bound)
+
+
+def test_class_number_table_matches_triple_loop_at_random_bounds():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(3, 5000))
+    def check(bound):
+        assert class_number_table(bound) == ref_class_number_table(bound)
+
+    check()
+
+
+def test_fundamental_discriminants_match_the_single_test():
+    bound = 10 ** 4
+    want = [d for d in range(-3, -bound - 1, -1) if is_fundamental_discriminant(d)]
+    assert fundamental_discriminants(bound) == want
+
+
+# sha256 of json.dumps(certificate, sort_keys=True), written by the
+# triple-by-triple table and the per-d fundamental test
+SWEEP_DIGESTS = {
+    2000: (1000, "b269a9a9764aebd0535b4a1e38bd034b6d0601e092dcf0c0c3c30c1ab9cc8b6a"),
+    10 ** 4: (5000, "36608aa6d854b72fdad246dd34c63a73349a6eefb8ad757597c9bb3e0adc2ad8"),
+    10 ** 5: (50000, "af5b0453147fbf8b8e8241db6f39d1fc71dd76c74498e5b234db76a2a1c26dfe"),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(SWEEP_DIGESTS))
+def test_class_number_sweep_certificate_digest(bound):
+    rep = class_number_formula_sweep(bound)
+    cases, digest = SWEEP_DIGESTS[bound]
+    assert rep["pass"] and rep["cases_checked"] == cases
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("bound", [2, 0, -5])

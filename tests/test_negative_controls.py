@@ -11,6 +11,8 @@ import pytest
 
 from tamenorm import classfield, cli, hecke, lattice, lfactor, mackey, qcomb
 
+from oracles import ref_class_number_table
+
 
 def run(args, tmp_path):
     out = tmp_path / "cert.json"
@@ -168,6 +170,32 @@ def test_measure_identity_fails_on_a_dropped_lattice(monkeypatch):
     assert cert["first_failure"]["invariant"] == [1, 0]
     lattices = lattice.sublattices_up_to_depth(2, 3, 2)
     assert len(lattices) != sum(1 for _ in lattices)
+
+
+def test_class_number_sweep_fails_on_a_dropped_class(monkeypatch):
+    # D = -207 = -23 * 3^2 is no other d_E m^2, so only (d_E, m) = (-23, 3) fails
+    real = classfield.class_number_table
+
+    def fake(bound):
+        table = real(bound)
+        table[-207] -= 1
+        return table
+
+    monkeypatch.setattr(classfield, "class_number_table", fake)
+    cert = classfield.class_number_formula_sweep(2000)
+    assert cert["pass"] is False
+    failure = cert["first_failure"]
+    assert (failure["d_E"], failure["m"]) == (-23, 3)
+    assert failure["enumerated"] == real(2000)[-207] - 1
+
+
+def test_class_number_sweep_fails_on_non_primitive_forms(monkeypatch):
+    # without the gcd(a, b, c) = 1 filter the table counts (2, 2, 2) at D = -12
+    monkeypatch.setattr(classfield, "class_number_table",
+                        lambda bound: ref_class_number_table(bound, primitive=False))
+    cert = classfield.class_number_formula_sweep(2000)
+    assert cert["pass"] is False
+    assert cert["first_failure"] == {"d_E": -3, "m": 2, "enumerated": 2, "formula": "6/6"}
 
 
 def _failed(real):
