@@ -76,10 +76,9 @@ def serialize_cosets(coeffs, ctx):
 
 
 def _um_layout(X, m, ctx):
-    """The U_m summand for X as an integer matrix and a twist exponent.
-
-    The matrix is [[t_m, X], [0, 1]] with t_m = diag(ell,..,ell,1,..,1) (m
-    entries ell) and X padded to n x n; the twist is ell^e = det(t_m)^{-1}.
+    """The U_m summand for X as an integer matrix: [[t_m, X], [0, 1]] with
+    t_m = diag(ell,..,ell,1,..,1) (m entries ell) and X padded to n x n.
+    Its twist is det(t_m)^{-1} = ell^{-m}.
     """
     n, ell = ctx.n, ctx.ell
     mat = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
@@ -87,7 +86,7 @@ def _um_layout(X, m, ctx):
         mat[i][i] = ell
         for j in range(n):
             mat[i][n + j] = X[i][j]
-    return mat, -m
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,8 @@ def _verify_reduction(X, U, V, r, m, ctx):
     divides every entry of the integer matrix ell^2 k and det k is an
     ell-unit.  As g_r is unipotent, det h^{-1} = det A ell^{-m} det B and
     det g_X = ell^m, det k = det A det B: a unit iff det A and det B are.
-    The twist of k is twist(g_X) ell^m det B / det A, an ell-unit.
+    The twist of k is twist(g_X) ell^m det B / det A = det B / det A, so it
+    is a unit with them.
     """
     n, ell = ctx.n, ctx.ell
     size = 2 * n
@@ -159,13 +159,11 @@ def _verify_reduction(X, U, V, r, m, ctx):
     g_r_inv = [[ell * (i == j) for j in range(size)] for i in range(size)]
     for i in range(r):
         g_r_inv[i][n + i] = -1
-    gX, twist_exp = _um_layout(X, m, ctx)
-    k_mat = _mul_sparse(g_r_inv, _mul_sparse(h_inv, gX))
+    k_mat = _mul_sparse(g_r_inv, _mul_sparse(h_inv, _um_layout(X, m, ctx)))
     ell2 = ell * ell
     if any(x % ell2 for row in k_mat for x in row):
         return False
-    # det A and det B are ell-units, so the twist exponent is twist_exp + m
-    return mat_det(A) % ell != 0 and mat_det(B) % ell != 0 and twist_exp + m == 0
+    return mat_det(A) % ell != 0 and mat_det(B) % ell != 0
 
 
 def _mul_sparse(A, B):

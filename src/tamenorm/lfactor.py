@@ -15,8 +15,10 @@ up, along Gal(E[ell m]/E), each character is evaluated at the level-m
 Frobenius or, when it is level-raising, at a generator of the norm kernel.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import classfield
 from .exactnum import ExactScalar, Poly
@@ -138,6 +140,8 @@ def weil_weight_check(betas, n, ell):
     would force beta_i = ell^n, of weight 2n).  Shapes whose archimedean size
     is not decidable in this ring are reported "unchecked", never guessed.
     """
+    if len(betas) != 2 * n:
+        raise ValueError("need exactly 2n Frobenius eigenvalues")
     target = ExactScalar.from_rational(ell ** (2 * n - 1), ell)
     ell_n = ExactScalar.from_rational(ell ** n, ell)
     rows = []
@@ -162,10 +166,7 @@ def weil_weight_check(betas, n, ell):
         "identity": "weil_weight",
         "n": n, "ell": ell,
         "rows": rows,
-        "pass": all_pass and all(
-            r.get("excludes_p_inverse_eigenvalue", False) for r in rows
-            if r["status"] == "pass"
-        ) and all(r["status"] == "pass" for r in rows),
+        "pass": all_pass and all(r["excludes_p_inverse_eigenvalue"] for r in rows),
     }
 
 
@@ -175,6 +176,21 @@ def tame_factor(sp, chi):
         Fraction(sp.ell ** (sp.n * sp.n), sp.ell - 1), sp.ell
     )
     return scale * local_l_inverse(sp, chi.chi_ell)
+
+
+def _eigenvalue_table(sp, k, exponents):
+    """P, and for each distinct e in `exponents` the serialized zeta_k^e, the
+    eigenvalue P(zeta_k^e) by Horner, the independent product
+    L(sigma tensor chi, 1/2)^{-1} at chi(Fr) = zeta_k^e, and whether they agree.
+    """
+    P = frob_poly_from_satake(sp).p_central
+    table = {}
+    for e in set(exponents):
+        val = ExactScalar.zeta(sp.ell, k, e)
+        eig = P.eval(val)
+        ind = local_l_inverse(sp, val)
+        table[e] = (val.serialize(), eig.serialize(), ind.serialize(), eig == ind)
+    return P, table
 
 
 def tame_group_algebra_check(cl, sp, ell):
@@ -192,47 +208,35 @@ def tame_group_algebra_check(cl, sp, ell):
     fr = classfield.frobenius_class(cl, ell)  # geometric orientation
     fr_idx = cl.index[fr]
     k, chars = classfield.character_group(cl)
+    P, table = _eigenvalue_table(sp, k, [chi[fr_idx] for chi in chars])
+    keys = ("chi_at_frobenius", "eigenvalue", "l_value_inverse", "pass")
+    per_chi = [{"chi_exponents": list(chi), **dict(zip(keys, table[chi[fr_idx]]))}
+               for chi in chars]
+    ok = all(match for *_, match in table.values())
+
+    # Fourier inversion: sum_chi P(chi(Fr)) conj(chi(h)) must be |cl| times the
+    # coefficient of [h] in P([Fr]).  By linearity the sum is
+    # sum_j p_j S(Fr^j h^{-1}) with S(x) = sum_chi chi(x), summed exactly from
+    # the counts of the exponents in column x of the character table (once
+    # for each distinct set of counts).
     zeta = [ExactScalar.zeta(ell, k, e) for e in range(k)]  # chi(x) = zeta[chi[x]]
-    P = frob_poly_from_satake(sp).p_central
 
-    per_chi = []
-    eigenvalues = []
-    ok = True
-    for chi in chars:
-        val = zeta[chi[fr_idx]]
-        eig = P.eval(val)
-        ind = local_l_inverse(sp, val)
-        match = eig == ind
-        ok = ok and match
-        eigenvalues.append(eig)
-        per_chi.append({
-            "chi_exponents": list(chi),
-            "chi_at_frobenius": val.serialize(),
-            "eigenvalue": eig.serialize(),
-            "l_value_inverse": ind.serialize(),
-            "pass": match,
-        })
+    @cache
+    def column_sum(counts):
+        return sum(c * zeta[e] for e, c in counts)
 
-    # Fourier inversion: sum_chi eig_chi e_chi must reconstruct P([Fr])
-    order = cl.order
+    S = [column_sum(frozenset(Counter(col).items())) for col in zip(*chars)]
     fr_powers = [cl.identity]
-    for _ in P.coeffs[1:]:
+    for _ in range(P.degree):
         fr_powers.append(cl.mul(fr_powers[-1], fr_idx))
-    recon_ok = True
-    for h in range(order):
-        acc = ExactScalar.zero(ell)
-        for chi, eig in zip(chars, eigenvalues):
-            acc = acc + eig * zeta[-chi[h]]  # conj(zeta_k^e) = zeta_k^(-e)
-        acc = acc * ExactScalar.from_rational(Fraction(1, order), ell)
-        direct = ExactScalar.zero(ell)
-        for power, coeff in zip(fr_powers, P.coeffs):
-            if power == h:
-                direct = direct + coeff
-        if acc != direct:
-            recon_ok = False
-            break
+    terms = list(zip(fr_powers, P.coeffs))
+    recon_ok = all(
+        sum(p * S[cl.mul(x, cl.inv(h))] for x, p in terms)
+        == cl.order * sum(p for x, p in terms if x == h)
+        for h in range(cl.order)
+    )
 
-    cert = {
+    return {
         "identity": "tame_group_algebra",
         "d_E": cl.d_E, "conductor": cl.conductor, "ell": ell, "n": sp.n,
         "frobenius_orientation": "prime form = geometric Frobenius = Art0(ell)",
@@ -245,7 +249,6 @@ def tame_group_algebra_check(cl, sp, ell):
             "fourier_inversion": recon_ok,
         },
     }
-    return cert
 
 
 def big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell):
@@ -262,30 +265,16 @@ def big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell):
     # chi = chibar o norm: chibar at the level-m Frobenius is chi at any preimage
     pre = mapping.index(fr_small_idx)
     k, chars = classfield.character_group(cl_big)
-    zeta = [ExactScalar.zeta(ell, k, e) for e in range(k)]  # chi(x) = zeta[chi[x]]
-    P = frob_poly_from_satake(sp).p_central
-    rows = []
-    eig_set = set()
-    for chi in chars:
-        if all(chi[i] == 0 for i in kernel):
-            val, kind = zeta[chi[pre]], "factors_through_norm"
-        else:
-            val, kind = zeta[chi[k_gen]], "level_raising_at_kernel_generator"
-        eig = P.eval(val)
-        ind = local_l_inverse(sp, val)
-        eig_set.add(eig.serialize())
-        rows.append({
-            "chi_exponents": list(chi),
-            "kind": kind,
-            "value": val.serialize(),
-            "eigenvalue": eig.serialize(),
-            "independent_product": ind.serialize(),
-            "pass": eig == ind,
-        })
+    picks = [(chi[pre], "factors_through_norm") if all(chi[i] == 0 for i in kernel)
+             else (chi[k_gen], "level_raising_at_kernel_generator") for chi in chars]
+    _, table = _eigenvalue_table(sp, k, [e for e, _ in picks])
+    keys = ("value", "eigenvalue", "independent_product", "pass")
+    rows = [{"chi_exponents": list(chi), "kind": kind, **dict(zip(keys, table[e]))}
+            for chi, (e, kind) in zip(chars, picks)]
     return {
         "identity": "big_level_chi_decomposition",
         "kernel_order": len(kernel),
         "rows": rows,
-        "eigenvalue_set": sorted(eig_set),
-        "pass": all(r["pass"] for r in rows),
+        "eigenvalue_set": sorted({eig for _, eig, _, _ in table.values()}),
+        "pass": all(match for *_, match in table.values()),
     }

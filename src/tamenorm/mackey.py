@@ -491,6 +491,9 @@ def check_finite_level_diagram(F, H, U, K, g):
 
 
 def _mcert(identity, F, ok, failure, cases, extra=None):
+    """A Mackey-layer certificate; it never passes on zero cases."""
+    if ok and cases < 1:
+        ok, failure = False, {"reason": "no cases checked"}
     out = {
         "identity": identity,
         "model": F.name,

@@ -16,10 +16,13 @@ tamenorm.fingroup replaced: every product is recomputed and matrix inverses
 are powers.  `ref_character_group` is the exponent search, and
 `ref_characters_orthogonal` the exact orthogonality check, that the direct
 construction in tamenorm.classfield.character_group replaced;
-`ref_chain_count` is the sum over dimension sets that the recurrence in
-tamenorm.qcomb.chain_count replaced.  `ref_hnf_candidates` is every HNF basis
-up to a diagonal depth, and `ref_sublattices_up_to_depth` keeps those whose
-Smith exponents are within the depth: the sweep that
+`ref_fourier_inversion` is the per-character h^2 loop that
+tamenorm.lfactor.tame_group_algebra_check replaced by summing each column of
+the character table once; `ref_chain_count` is the sum over dimension sets
+that the recurrence in tamenorm.qcomb.chain_count replaced.
+`ref_hnf_candidates` is every HNF basis up to a diagonal depth, and
+`ref_sublattices_up_to_depth` keeps those whose Smith exponents are within
+the depth: the sweep that
 tamenorm.lattice.sublattices_up_to_depth replaced by building only the
 lattices between ell^depth Z^n and Z^n.  `smith_ell_exponents` (k from a
 Bareiss determinant) and `ideal_product_form` (composition by ideal
@@ -35,7 +38,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
 
-from tamenorm import hecke
+from tamenorm import classfield, hecke, lfactor
 from tamenorm.exactnum import ExactScalar
 from tamenorm.classfield import _elt_mul, _ideal_to_form, form_to_ideal
 from tamenorm.lattice import LatticeClass, relative_position
@@ -590,8 +593,7 @@ def ref_g_r(r, ctx):
 def ref_um_summand(X, m, ctx):
     """(1, [[t_m, X], [0, 1]], det^{-1}) for X in M_{m x n}(F_ell), built from
     `hecke._um_layout` so that a perturbed layout reaches the oracle too."""
-    mat, e = hecke._um_layout(X, m, ctx)
-    return ref_elt(1, mat, Fraction(ctx.ell) ** e, ctx.ell)
+    return ref_elt(1, hecke._um_layout(X, m, ctx), Fraction(ctx.ell) ** -m, ctx.ell)
 
 
 def ref_um_cosets(m, ctx):
@@ -821,6 +823,36 @@ def ref_characters_orthogonal(cl, k, chars):
                 total = total + zeta[chi[x]] * zeta_bar[chi2[x]]
             if total != (cl.order if i == j else 0):
                 return False
+    return True
+
+
+def ref_fourier_inversion(cl, sp, ell):
+    """Fourier inversion of P([Fr]) over cl, one product per (h, chi).
+
+    For every h, sum_chi P(chi(Fr)) conj(chi(h)) / |cl|, with each
+    eigenvalue evaluated by Horner at chi(Fr), must equal the coefficient of
+    [h] in P([Fr]); the h^2 loop that tamenorm.lfactor replaced by summing
+    each column of the character table once.
+    """
+    fr_idx = cl.index[classfield.frobenius_class(cl, ell)]
+    k, chars = classfield.character_group(cl)
+    zeta = [ExactScalar.zeta(ell, k, e) for e in range(k)]
+    P = lfactor.frob_poly_from_satake(sp).p_central
+    eigenvalues = [P.eval(zeta[chi[fr_idx]]) for chi in chars]
+    fr_powers = [cl.identity]
+    for _ in P.coeffs[1:]:
+        fr_powers.append(cl.mul(fr_powers[-1], fr_idx))
+    for h in range(cl.order):
+        acc = ExactScalar.zero(ell)
+        for chi, eig in zip(chars, eigenvalues):
+            acc = acc + eig * zeta[-chi[h]]  # conj(zeta_k^e) = zeta_k^(-e)
+        acc = acc * ExactScalar.from_rational(Fraction(1, cl.order), ell)
+        direct = ExactScalar.zero(ell)
+        for power, coeff in zip(fr_powers, P.coeffs):
+            if power == h:
+                direct = direct + coeff
+        if acc != direct:
+            return False
     return True
 
 

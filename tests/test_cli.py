@@ -297,6 +297,16 @@ def test_classgroup_certificate_digest(tmp_path, disc, conductor):
     assert digest == CLASSGROUP_DIGESTS[disc, conductor]
 
 
+def test_norm_relation_certificate_digest_at_311_classes(tmp_path):
+    # h = 311 at both levels (conductors 1 and 2): step 5 at a prime class number
+    out = tmp_path / "x.json"
+    proc = run_cli(["norm-relation", "--n", "1", "--ell", "2", "--disc", "-40031",
+                    "--alpha", "0:1", "0:1", "--out", str(out)], timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "20b980cd900d5f8db5ea45df68e8742991bab036527faa0919444262d9298553"
+
+
 def test_classgroup_above_300_classes(tmp_path):
     # h(-100007) = 336, cyclic; the greedy generating set has 3 elements
     out = tmp_path / "x.json"

@@ -1,8 +1,9 @@
 import pytest
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import isqrt
 
-from tamenorm.classfield import ring_class_group
+from tamenorm.classfield import fundamental_discriminants, kronecker, ring_class_group
 from tamenorm.exactnum import ExactScalar, Poly
 from tamenorm.lfactor import (
     CharacterValue,
@@ -14,6 +15,9 @@ from tamenorm.lfactor import (
     tame_group_algebra_check,
     weil_weight_check,
 )
+from tamenorm.matrices import is_prime
+
+from oracles import ref_fourier_inversion
 
 
 def rat(q, ell):
@@ -121,20 +125,29 @@ def test_satake_rejects_non_unitary():
 def test_weil_weight_examples():
     ell, n = 3, 2
     s = ExactScalar.sqrt_ell(ell)
-    ok = weil_weight_check([s ** (2 * n - 1), -(s ** (2 * n - 1))], n, ell)
+    ok = weil_weight_check([s ** (2 * n - 1), -(s ** (2 * n - 1))] * 2, n, ell)
     assert ok["pass"]
-    bad = weil_weight_check([s ** (2 * n - 3)], n, ell)
+    bad = weil_weight_check([s ** (2 * n - 1)] * 3 + [s ** (2 * n - 3)], n, ell)
     assert not bad["pass"]
-    assert bad["rows"][0]["status"] == "fail"
+    assert [r["status"] for r in bad["rows"]] == ["pass"] * 3 + ["fail"]
 
 
 def test_weil_weight_unchecked_shape():
     # 1 + z is not a root of unity times a power of s: norm is irrational
     ell = 5
     z = ExactScalar.zeta(ell, 5)
-    rep = weil_weight_check([rat(1, ell) + z], 1, ell)
+    rep = weil_weight_check([rat(1, ell) + z, ExactScalar.sqrt_ell(ell)], 1, ell)
     assert not rep["pass"]
-    assert rep["rows"][0]["status"] == "unchecked"
+    assert [r["status"] for r in rep["rows"]] == ["unchecked", "pass"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_weil_weight_needs_2n_eigenvalues(count):
+    # a certificate about fewer or more than 2n eigenvalues is refused,
+    # so zero rows can never pass
+    s = ExactScalar.sqrt_ell(5)
+    with pytest.raises(ValueError):
+        weil_weight_check([s] * count, 1, 5)
 
 
 def test_tame_factor_examples():
@@ -204,3 +217,23 @@ def test_tame_group_algebra_order_36():
     assert cert["pass"], cert
     assert len(cert["per_chi"]) == 36
     assert cert["fourier_inversion"]
+
+
+def _split_prime(cl):
+    """The least prime split in E and prime to the conductor."""
+    return next(ell for ell in range(2, 10 ** 4) if is_prime(ell)
+                and kronecker(cl.d_E, ell) == 1 and cl.conductor % ell)
+
+
+def test_fourier_inversion_matches_the_per_character_loop():
+    # every class group with |D| <= 1000, against the h^2 loop over (h, chi)
+    shapes = [[(0, 1), (0, 1)], [(1, 3), (2, 3)], [(1, 4), (1, 2)]]
+    groups = [ring_class_group(d_E, m) for d_E in fundamental_discriminants(1000)
+              for m in range(1, isqrt(1000 // -d_E) + 1)]
+    assert len(groups) == 500 and max(cl.order for cl in groups) == 36
+    for i, cl in enumerate(groups):
+        ell = _split_prime(cl)
+        sp = SatakeParams.from_root_exponents(1, ell, shapes[i % len(shapes)])
+        cert = tame_group_algebra_check(cl, sp, ell)
+        assert cert["pass"], (cl.discriminant, ell)
+        assert cert["fourier_inversion"] is ref_fourier_inversion(cl, sp, ell) is True

@@ -170,6 +170,15 @@ def test_c_axioms_witness_is_the_concrete_element(monkeypatch, name, which, seed
     assert cert["first_failure"] == witness
 
 
+def test_certificate_never_passes_on_zero_cases():
+    # no sample drawn: nothing was checked, so the battery cannot pass
+    cert = check_c_axioms(mackey.catalog_model("S3", "G"), 0, random.Random(0))
+    assert cert["cases_checked"] == 0
+    assert cert["pass"] is False
+    assert cert["first_failure"] == {"reason": "no cases checked"}
+    assert check_c_axioms(mackey.catalog_model("S3", "G"), 1, random.Random(0))["pass"]
+
+
 def test_hecke_identity_coset(s3_model):
     # sigma inside K with K' = K: the single-coset correspondence is the identity
     G, B = catalog_group("S3")

@@ -10,8 +10,9 @@ import json
 import pytest
 
 from tamenorm import classfield, cli, hecke, lattice, lfactor, mackey, qcomb
+from tamenorm.exactnum import Poly
 
-from oracles import ref_class_number_table
+from oracles import ref_class_number_table, ref_fourier_inversion
 
 
 def run(args, tmp_path):
@@ -136,6 +137,33 @@ def test_norm_relation_fails_on_perturbed_l_value(tmp_path, monkeypatch):
     assert not step5["level_ellm_chi_decomposition"]["pass"]
 
 
+def test_step5_fails_on_one_perturbed_eigenvalue(tmp_path, monkeypatch):
+    # the Horner value P(1), the eigenvalue of every character with
+    # chi(Fr) = 1 (exponent 0), is off by one; the per-chi comparison with the
+    # product formula catches it at both levels, while the Fourier inversion
+    # reads the coefficients of P, not the Horner values, and still holds
+    real = Poly.eval
+    monkeypatch.setattr(Poly, "eval", lambda P, x: real(P, x) + (1 if x == 1 else 0))
+    cl = classfield.ring_class_group(-39, 2)  # Z/4
+    sp = lfactor.SatakeParams.from_root_exponents(1, 5, [(1, 4), (3, 4)])
+    cert = lfactor.tame_group_algebra_check(cl, sp, 5)
+    assert cert["pass"] is False and cert["fourier_inversion"] is True
+    failed = cert["first_failure"]["per_chi"]
+    assert failed and all(row["chi_at_frobenius"] == "1" for row in failed)
+    assert len(failed) < len(cert["per_chi"])
+
+    code, cert = run(["norm-relation", "--n", "1", "--ell", "5", "--disc", "-71",
+                      "--alpha", "1:3", "2:3"], tmp_path)
+    assert code == 1
+    assert cert["first_failure"] == {"stage": "step5_lfactor"}
+    step5 = cert["results"]["step5_lfactor"]
+    level_m = step5["level_m_group_algebra"]
+    assert level_m["pass"] is False and level_m["fourier_inversion"] is True
+    level_ellm = step5["level_ellm_chi_decomposition"]
+    assert level_ellm["pass"] is False
+    assert {row["value"] for row in level_ellm["rows"] if not row["pass"]} == {"1"}
+
+
 def test_fourier_inversion_fails_on_duplicated_character(monkeypatch):
     # the last character replaced by a copy of the first: every per-chi
     # eigenvalue still matches, but the table is not the dual group
@@ -152,6 +180,7 @@ def test_fourier_inversion_fails_on_duplicated_character(monkeypatch):
     assert all(row["pass"] for row in cert["per_chi"])
     assert cert["fourier_inversion"] is False
     assert cert["pass"] is False
+    assert ref_fourier_inversion(cl, sp, 5) is False  # the h^2 loop agrees
 
 
 def test_measure_identity_fails_on_a_dropped_lattice(monkeypatch):
