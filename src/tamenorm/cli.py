@@ -198,8 +198,12 @@ def run_mackey_test(args):
 def _parse_alpha(strings, n, ell):
     pairs = []
     for s in strings:
-        e, k = s.split(":")
-        pairs.append((int(e), int(k)))
+        try:
+            e, k = map(int, s.split(":"))
+        except ValueError:
+            raise ValueError(f"--alpha {s!r} is not of the form e:k "
+                             f"with integers e and k") from None
+        pairs.append((e, k))
     if len(pairs) != 2 * n:
         raise ValueError(f"need exactly 2n = {2 * n} alpha values")
     return SatakeParams.from_root_exponents(n, ell, pairs)

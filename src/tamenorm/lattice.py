@@ -20,7 +20,9 @@ from . import qcomb
 from .matrices import (
     BoundExceeded,
     ell_normalize,
+    hnf_rows,
     is_prime,
+    rref_mod,
     smith_ell_exponents_k,
     v_ell,
 )
@@ -148,7 +150,9 @@ def join(L1, L2):
     With D the larger determinant, D L* is spanned by the columns of
     (D / det H) adj(H) for the canonical basis H of L; the intersection is
     spanned by the columns of D Hd^{-1} = D adj(Hd) / det(Hd), Hd the
-    canonical basis of D (L1* + L2*).  All of it is integer arithmetic.
+    canonical basis of D (L1* + L2*).  All of it is integer arithmetic, and
+    both spans are Z-lattices of ell-power index, so one HNF each is their
+    canonical basis.
     """
     _check_compatible(L1, L2)
     ell, n = L1.ell, L1.n
@@ -158,7 +162,7 @@ def join(L1, L2):
     for det, X in adj:
         s = D // det
         dual_rows.extend([s * X[i][j] for i in range(n)] for j in range(n))
-    det_d, Xd = _adjugate_upper(ell_normalize(dual_rows, ell))
+    det_d, Xd = _adjugate_upper(_ell_power_hnf(dual_rows, ell))
     out = []
     for j in range(n):
         row = []
@@ -168,7 +172,17 @@ def join(L1, L2):
                 raise ArithmeticError("intersection of integral lattices must be integral")
             row.append(x // det_d)
         out.append(row)
-    return LatticeClass.from_rows(out, ell)
+    return LatticeClass(ell, n, _ell_power_hnf(out, ell))
+
+
+def _ell_power_hnf(rows, ell):
+    """The HNF of integer rows spanning a Z-lattice of ell-power index, which
+    is then its canonical basis over Z_ell too; the index is checked exactly."""
+    H = hnf_rows(rows)
+    det = prod(H[i][i] for i in range(len(H)))
+    if ell ** v_ell(det, ell) != det:
+        raise ArithmeticError(f"index {det} is not a power of {ell}")
+    return H
 
 
 def _adjugate_upper(H):
@@ -354,18 +368,15 @@ def enumerate_sublattices(nu, of):
 # ---------------------------------------------------------------------------
 # verification certificates
 
-def _chain_weights(members):
+def _chain_weights(members, above):
     """w[k] = sum over chains with smallest lattice k of (-1)^length.
 
-    Recurrence: w[k] = 1 - sum of w[a] over members a strictly containing k.
+    Recurrence: w[k] = 1 - sum of w[a] over members a strictly containing k,
+    read off the containment matrix `above` (above[a][k]: a contains k).
     Also returns the total number of chains for the certificate.
     """
     m = len(members)
-    strictly_above = [[] for _ in range(m)]
-    for a in range(m):
-        for k in range(m):
-            if a != k and contains(members[a], members[k]):
-                strictly_above[k].append(a)
+    strictly_above = [[a for a in range(m) if a != k and above[a][k]] for k in range(m)]
     # members are ordered by weakly increasing index valuation, so every
     # strict container of k precedes k; compute in that order
     order = sorted(range(m), key=lambda i: members[i].index_valuation())
@@ -385,6 +396,12 @@ def verify_inclusion_exclusion(n, ell, depth):
         = sum over chains c of (-1)^len(c) [L' below the smallest member of c]
     and the semilattice compatibility in poset form: L' below join(L1, L2)
     iff L' below L1 and L' below L2, over all member pairs.
+
+    Every member contains ell Z^n (checked first), so L' lies below a member
+    iff L' + ell Z^n does: the set S of members above L', and every check
+    made at L', depend only on the image of L' mod ell.  The checks run with
+    real containments at the first L' of each image and are not repeated for
+    the later ones, which pass or fail alike.
     """
     _check_request(n, ell, depth)
     M = sum(qcomb.q_binomial(n, d, ell) for d in range(n))  # |X_n^{>=1}|
@@ -392,18 +409,31 @@ def verify_inclusion_exclusion(n, ell, depth):
         raise BoundExceeded(f"rank {n}, ell = {ell}: {M} members need more than "
                             f"{MAX_JOINS} joins")
     members = enumerate_X_ge1(n, ell)
-    w, n_chains = _chain_weights(members)
+    ell_zn = LatticeClass.from_diag_exponents([1] * n, ell)
+    for L in members:
+        if not contains(L, ell_zn):
+            return _cert("inclusion_exclusion", n, ell, depth, 0, False,
+                         {"reason": "member does not contain ell Z^n",
+                          "lattice": L.basis})
+    above = [[a == k or contains(members[a], members[k]) for k in range(M)]
+             for a in range(M)]
+    w, n_chains = _chain_weights(members, above)
 
     index = {members[i]: i for i in range(M)}
     join_idx = [[0] * M for _ in range(M)]
     for i in range(M):
         for j in range(i, M):
-            J = join(members[i], members[j])
-            if J not in index:
-                return _cert("inclusion_exclusion", n, ell, depth, 0, False,
-                             {"reason": "join left the generated semilattice",
-                              "pair": [members[i].basis, members[j].basis]})
-            join_idx[i][j] = join_idx[j][i] = index[J]
+            if above[i][j]:
+                k = j               # the join of comparable members is the smaller
+            elif above[j][i]:
+                k = i
+            else:
+                k = index.get(join(members[i], members[j]))
+                if k is None:
+                    return _cert("inclusion_exclusion", n, ell, depth, 0, False,
+                                 {"reason": "join left the generated semilattice",
+                                  "pair": [members[i].basis, members[j].basis]})
+            join_idx[i][j] = join_idx[j][i] = k
 
     pairs_by_join = [[] for _ in range(M)]
     for i in range(M):
@@ -411,32 +441,42 @@ def verify_inclusion_exclusion(n, ell, depth):
             pairs_by_join[join_idx[i][j]].append((i, j))
 
     cases = 0
+    checked = set()   # images mod ell whose checks have passed
     for L in sublattices_up_to_depth(n, ell, depth):
-        S = [k for k in range(M) if contains(members[k], L)]
-        in_S = [False] * M
-        for k in S:
-            in_S[k] = True
-        lhs = 1 if S else 0
-        rhs = sum(w[k] for k in S)
-        if lhs != rhs:
-            return _cert("inclusion_exclusion", n, ell, depth, cases, False,
-                         {"lattice": L.basis, "lhs": lhs, "rhs": rhs})
-        # F(L1 v L2) = F(L1) cap F(L2), pointwise at L
-        for i in S:
-            for j in S:
-                if not in_S[join_idx[i][j]]:
-                    return _cert("inclusion_exclusion", n, ell, depth, cases, False,
-                                 {"lattice": L.basis, "pair": [i, j],
-                                  "reason": "join containment missing"})
-        for k in S:
-            for (i, j) in pairs_by_join[k]:
-                if not (in_S[i] and in_S[j]):
-                    return _cert("inclusion_exclusion", n, ell, depth, cases, False,
-                                 {"lattice": L.basis, "pair": [i, j],
-                                  "reason": "containment in join without both factors"})
+        image = rref_mod(L.basis, ell)
+        if image not in checked:
+            failure = _check_pointwise(L, members, w, join_idx, pairs_by_join)
+            if failure:
+                return _cert("inclusion_exclusion", n, ell, depth, cases, False, failure)
+            checked.add(image)
         cases += 1
     return _cert("inclusion_exclusion", n, ell, depth, cases, True, None,
                  extra={"members": M, "chains": n_chains})
+
+
+def _check_pointwise(L, members, w, join_idx, pairs_by_join):
+    """The first failing check of inclusion-exclusion at L, or None."""
+    M = len(members)
+    S = [k for k in range(M) if contains(members[k], L)]
+    in_S = [False] * M
+    for k in S:
+        in_S[k] = True
+    lhs = 1 if S else 0
+    rhs = sum(w[k] for k in S)
+    if lhs != rhs:
+        return {"lattice": L.basis, "lhs": lhs, "rhs": rhs}
+    # F(L1 v L2) = F(L1) cap F(L2), pointwise at L
+    for i in S:
+        for j in S:
+            if not in_S[join_idx[i][j]]:
+                return {"lattice": L.basis, "pair": [i, j],
+                        "reason": "join containment missing"}
+    for k in S:
+        for (i, j) in pairs_by_join[k]:
+            if not (in_S[i] and in_S[j]):
+                return {"lattice": L.basis, "pair": [i, j],
+                        "reason": "containment in join without both factors"}
+    return None
 
 
 def verify_measure_identity(n, ell, depth):

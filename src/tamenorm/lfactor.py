@@ -137,13 +137,13 @@ def weil_weight_check(betas, n, ell):
     """beta_i conj(beta_i) = ell^{2n-1} for Frobenius eigenvalues of weight 2n-1.
 
     Consequently no eigenvalue p^{n-1} beta_i^{-1} can equal p^{-1} (that
-    would force beta_i = ell^n, of weight 2n).  Shapes whose archimedean size
-    is not decidable in this ring are reported "unchecked", never guessed.
+    would force beta_i = ell^n, of weight 2n), so a row excludes it exactly
+    when its norm check passes.  Shapes whose archimedean size is not
+    decidable in this ring are reported "unchecked", never guessed.
     """
     if len(betas) != 2 * n:
         raise ValueError("need exactly 2n Frobenius eigenvalues")
     target = ExactScalar.from_rational(ell ** (2 * n - 1), ell)
-    ell_n = ExactScalar.from_rational(ell ** n, ell)
     rows = []
     all_pass = True
     for i, b in enumerate(betas):
@@ -159,14 +159,14 @@ def weil_weight_check(betas, n, ell):
             "status": "pass" if ok else "fail",
             "norm": norm.serialize(),
             "target": target.serialize(),
-            "excludes_p_inverse_eigenvalue": bool(ok and b != ell_n),
+            "excludes_p_inverse_eigenvalue": ok,
         })
         all_pass = all_pass and ok
     return {
         "identity": "weil_weight",
         "n": n, "ell": ell,
         "rows": rows,
-        "pass": all_pass and all(r["excludes_p_inverse_eigenvalue"] for r in rows),
+        "pass": all_pass,
     }
 
 

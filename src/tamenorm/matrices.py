@@ -77,6 +77,12 @@ def hnf_rows(rows):
     Returns an n x n upper-triangular matrix with positive diagonal and the
     entries above each pivot reduced into [0, pivot).  This is the canonical
     basis of the integer row span.
+
+    Column by column, Euclid's algorithm reduces the remaining rows by the
+    one of least nonzero entry there until a single row, the pivot, is left
+    nonzero; the pivot leaves the work list and reduces the entries above it
+    in the pivots found before.  Later columns only subtract later pivots,
+    which are zero in the columns already reduced.
     """
     if not rows:
         raise ValueError("no rows")
@@ -85,31 +91,34 @@ def hnf_rows(rows):
     out = []
     for col in range(n):
         while True:
-            nz = [r for r in work if r[col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            r0 = nz[0]
-            for r in nz[1:]:
-                q = r[col] // r0[col]
-                if q:
+            piv = None
+            for r in work:
+                x = r[col]
+                if x and (piv is None or abs(x) < abs(piv[col])):
+                    piv = r
+            if piv is None:
+                raise ValueError("rank deficient rows")
+            p = piv[col]
+            left = False
+            for r in work:
+                x = r[col]
+                if x and r is not piv:
+                    q = x // p
                     for j in range(col, n):
-                        r[j] -= q * r0[j]
-        nz = [r for r in work if r[col] != 0]
-        if not nz:
-            raise ValueError("rank deficient rows")
-        piv = nz[0]
-        work.remove(piv)
-        if piv[col] < 0:
+                        r[j] -= q * piv[j]
+                    left = left or r[col] != 0
+            if not left:
+                break
+        work = [r for r in work if r is not piv]
+        if p < 0:
             piv = [-x for x in piv]
-        out.append(piv)
-    # reduce entries above each diagonal pivot
-    for i in range(n - 1, -1, -1):
-        for j in range(i):
-            q = out[j][i] // out[i][i]
+            p = -p
+        for r in out:
+            q = r[col] // p
             if q:
-                for k in range(i, n):
-                    out[j][k] -= q * out[i][k]
+                for j in range(col, n):
+                    r[j] -= q * piv[j]
+        out.append(piv)
     return tuple(tuple(r) for r in out)
 
 

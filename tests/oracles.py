@@ -24,7 +24,11 @@ that the recurrence in tamenorm.qcomb.chain_count replaced.
 `ref_sublattices_up_to_depth` keeps those whose Smith exponents are within
 the depth: the sweep that
 tamenorm.lattice.sublattices_up_to_depth replaced by building only the
-lattices between ell^depth Z^n and Z^n.  `smith_ell_exponents` (k from a
+lattices between ell^depth Z^n and Z^n.  `ref_verify_inclusion_exclusion`
+is the lattice-by-lattice inclusion-exclusion sweep, with every member
+joined and every containment tested at every lattice, that
+tamenorm.lattice.verify_inclusion_exclusion replaced by one verdict per
+image mod ell.  `smith_ell_exponents` (k from a
 Bareiss determinant) and `ideal_product_form` (composition by ideal
 multiplication) are routes that only the tests take.
 `ref_class_number_table` is the triple-by-triple loop over the reduced forms
@@ -38,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
 
-from tamenorm import classfield, hecke, lfactor
+from tamenorm import classfield, hecke, lattice, lfactor
 from tamenorm.exactnum import ExactScalar
 from tamenorm.classfield import _elt_mul, _ideal_to_form, form_to_ideal
 from tamenorm.lattice import LatticeClass, relative_position
@@ -512,6 +516,79 @@ def ref_sublattices_up_to_depth(n, ell, depth):
     largest invariant exponent is <= depth, in candidate order."""
     return [L for L in ref_hnf_candidates(n, ell, depth)
             if max(relative_position(L).exponents) <= depth]
+
+
+def _ref_chain_weights(members):
+    """w[k] = 1 - sum of w[a] over the members a strictly containing k, with
+    one `contains` per ordered pair, and the total number of chains."""
+    m = len(members)
+    strictly_above = [[] for _ in range(m)]
+    for a in range(m):
+        for k in range(m):
+            if a != k and lattice.contains(members[a], members[k]):
+                strictly_above[k].append(a)
+    order = sorted(range(m), key=lambda i: members[i].index_valuation())
+    w = [0] * m
+    counts = [0] * m
+    for k in order:
+        w[k] = 1 - sum(w[a] for a in strictly_above[k])
+        counts[k] = 1 + sum(counts[a] for a in strictly_above[k])
+    return w, sum(counts)
+
+
+def ref_verify_inclusion_exclusion(n, ell, depth):
+    """Chain-wise inclusion-exclusion over X_n^{>=1}, every member pair joined
+    and the set S of members above each lattice recomputed at every lattice.
+    The lattice helpers are looked up on the module at call time, so a test
+    that patches one patches it for this route too."""
+    lattice._check_request(n, ell, depth)
+    M = sum(q_binomial(n, d, ell) for d in range(n))
+    if M * (M + 1) // 2 > lattice.MAX_JOINS:
+        raise lattice.BoundExceeded(f"{M} members need more than {lattice.MAX_JOINS} joins")
+    members = lattice.enumerate_X_ge1(n, ell)
+    w, n_chains = _ref_chain_weights(members)
+
+    def cert(cases, ok, failure, extra=None):
+        return lattice._cert("inclusion_exclusion", n, ell, depth, cases, ok, failure, extra)
+
+    index = {members[i]: i for i in range(M)}
+    join_idx = [[0] * M for _ in range(M)]
+    for i in range(M):
+        for j in range(i, M):
+            J = lattice.join(members[i], members[j])
+            if J not in index:
+                return cert(0, False, {"reason": "join left the generated semilattice",
+                                       "pair": [members[i].basis, members[j].basis]})
+            join_idx[i][j] = join_idx[j][i] = index[J]
+
+    pairs_by_join = [[] for _ in range(M)]
+    for i in range(M):
+        for j in range(M):
+            pairs_by_join[join_idx[i][j]].append((i, j))
+
+    cases = 0
+    for L in lattice.sublattices_up_to_depth(n, ell, depth):
+        S = [k for k in range(M) if lattice.contains(members[k], L)]
+        in_S = [False] * M
+        for k in S:
+            in_S[k] = True
+        lhs = 1 if S else 0
+        rhs = sum(w[k] for k in S)
+        if lhs != rhs:
+            return cert(cases, False, {"lattice": L.basis, "lhs": lhs, "rhs": rhs})
+        for i in S:
+            for j in S:
+                if not in_S[join_idx[i][j]]:
+                    return cert(cases, False, {"lattice": L.basis, "pair": [i, j],
+                                               "reason": "join containment missing"})
+        for k in S:
+            for (i, j) in pairs_by_join[k]:
+                if not (in_S[i] and in_S[j]):
+                    return cert(cases, False,
+                                {"lattice": L.basis, "pair": [i, j],
+                                 "reason": "containment in join without both factors"})
+        cases += 1
+    return cert(cases, True, None, {"members": M, "chains": n_chains})
 
 
 def ref_verify_reduction(X, U, V, r, m, ctx):

@@ -103,6 +103,18 @@ def test_alpha_order_below_one_is_config_error(tmp_path, capsys, alpha):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["1:2:3", "", "x:2"])
+def test_malformed_alpha_names_the_option(tmp_path, capsys, alpha):
+    out = tmp_path / "x.json"
+    code = cli.main(["lfactor", "--n", "1", "--ell", "5", "--alpha", alpha, "1:2",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--alpha" in err and "e:k" in err
+    assert "unpack" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["coeffs", "--n", "1200", "--ell", "2"],
     ["coeffs", "--n", "110", "--ell", "2"],

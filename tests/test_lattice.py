@@ -1,13 +1,21 @@
+import hashlib
+import json
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from oracles import (
     ref_contains,
+    ref_det,
     ref_hnf_candidates,
     ref_join,
+    ref_mat_inv,
+    ref_mat_mul,
     ref_smith_ell_exponents,
     ref_sublattices_up_to_depth,
+    ref_verify_inclusion_exclusion,
     smith_ell_exponents,
 )
 from tamenorm import lattice
@@ -25,7 +33,7 @@ from tamenorm.lattice import (
     verify_inclusion_exclusion,
     verify_measure_identity,
 )
-from tamenorm.matrices import mat_det
+from tamenorm.matrices import hnf_rows, mat_det
 from tamenorm.qcomb import QCombContext, lambda_coefficients, q_binomial
 
 ORACLE_CELLS = [(n, ell) for n in (1, 2, 3) for ell in (2, 3)] + [(2, 5)]
@@ -81,6 +89,70 @@ def test_normal_form_canonical_under_unit_row_ops():
                 else:
                     work[i], work[j] = work[j], work[i]
             assert LatticeClass.from_rows(work, ell) == L0
+
+
+def _spans_same_lattice(H, rows):
+    """Fraction oracle: every row is an integer combination of H's rows, and
+    det H is the gcd of the maximal minors of the rows, the index of their
+    span in Z^n."""
+    n = len(H)
+    coeffs = ref_mat_mul(rows, ref_mat_inv(H))
+    if any(x.denominator != 1 for row in coeffs for x in row):
+        return False
+    index = 0
+    for sub in combinations(rows, n):
+        index = gcd(index, int(ref_det(sub)))
+    return ref_det(H) == index
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_hnf_rows_is_canonical_and_spans_its_input(duplicate):
+    rng = random.Random(1729 + duplicate)
+    checked = 0
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n + rng.randint(0, 2))]
+        if duplicate:
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+        try:
+            H = hnf_rows(rows)
+        except ValueError:
+            assert all(ref_det(sub) == 0 for sub in combinations(rows, n))
+            continue
+        # a positive diagonal and every entry above a pivot in [0, pivot)
+        assert all(H[i][i] > 0 for i in range(n))
+        assert all(H[i][j] == 0 for i in range(n) for j in range(i))
+        assert all(0 <= H[j][i] < H[i][i] for i in range(n) for j in range(i)), (rows, H)
+        assert _spans_same_lattice(H, rows), (rows, H)
+        assert hnf_rows(H) == H
+        checked += 1
+    assert checked > 300
+
+
+def test_from_rows_basis_is_canonical_example():
+    # every entry above the last pivot, 81, must lie in [0, 81) after the
+    # columns before it are reduced
+    rows = [[-4, 8, -9, 9], [-5, -2, -4, 7], [4, -4, -7, -9], [-1, 2, 9, -9], [-1, 2, 9, -9]]
+    L = LatticeClass.from_rows(rows, 3)
+    assert L.basis == ((1, 0, 0, 55), (0, 1, 0, 68), (0, 0, 1, 17), (0, 0, 0, 81))
+    assert lattice._is_canonical_hnf(L.basis, 3)
+    assert LatticeClass.from_rows(L.basis, 3) == L
+
+
+def test_ell_normalize_is_canonical_on_random_rows():
+    # rank 4 with ell-power entries, where reducing the columns above the
+    # pivots in the wrong order leaves entries outside [0, pivot)
+    rng = random.Random(31)
+    for ell in (2, 3, 5):
+        pool = [0, 1, -1, ell, -ell, ell * ell, ell ** 3]
+        for _ in range(100):
+            rows = [[rng.choice(pool + [rng.randint(-9, 9)]) for _ in range(4)]
+                    for _ in range(5)]
+            if all(ref_det(sub) == 0 for sub in combinations(rows, 4)):
+                continue
+            L = LatticeClass.from_rows(rows, ell)
+            assert lattice._is_canonical_hnf(L.basis, ell), (rows, L)
+            assert LatticeClass.from_rows(L.basis, ell) == L
 
 
 def test_contains_trivial_cases():
@@ -181,6 +253,38 @@ def test_inclusion_exclusion_passes(n, ell, depth):
     cert = verify_inclusion_exclusion(n, ell, depth)
     assert cert["pass"], cert
     assert cert["cases_checked"] > 0
+
+
+@pytest.mark.parametrize("n,ell,depth",
+                         LATTICE_GRID + [(3, 7, 2), (2, 7, 3), (3, 2, 4), (1, 5, 4)])
+def test_inclusion_exclusion_matches_lattice_by_lattice_oracle(n, ell, depth):
+    assert verify_inclusion_exclusion(n, ell, depth) == ref_verify_inclusion_exclusion(n, ell, depth)
+
+
+def test_inclusion_exclusion_certificate_bytes_are_pinned():
+    cert = verify_inclusion_exclusion(3, 7, 2)
+    assert (cert["cases_checked"], cert["members"], cert["chains"]) == (9009, 115, 1141)
+    blob = json.dumps(cert, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "4bfd2a14b773897e62dacbb9c1cecf7b7f3867de99c99ce0c3c9abaa942a6fcc")
+
+
+def test_inclusion_exclusion_containments_scale_with_members(monkeypatch):
+    # the premise (M), the member containment matrix (M^2) and one set S per
+    # image mod ell (at most M + 1 images, M containments each), however many
+    # of the 2,607 lattices share an image
+    calls = []
+    real = lattice.contains
+
+    def counted(big, small):
+        calls.append(1)
+        return real(big, small)
+
+    monkeypatch.setattr(lattice, "contains", counted)
+    cert = verify_inclusion_exclusion(3, 5, 2)
+    M = cert["members"]
+    assert (M, cert["cases_checked"]) == (63, 2607)
+    assert len(calls) <= M * M + M * (M + 1) + M
 
 
 @pytest.mark.parametrize("n,ell,depth", [

@@ -130,6 +130,11 @@ def test_weil_weight_examples():
     bad = weil_weight_check([s ** (2 * n - 1)] * 3 + [s ** (2 * n - 3)], n, ell)
     assert not bad["pass"]
     assert [r["status"] for r in bad["rows"]] == ["pass"] * 3 + ["fail"]
+    assert [r["excludes_p_inverse_eigenvalue"] for r in bad["rows"]] == [True] * 3 + [False]
+    # beta = ell^n, the eigenvalue the field rules out, has norm ell^(2n)
+    at_ell_n = weil_weight_check([rat(ell ** n, ell)] + [s ** (2 * n - 1)] * 3, n, ell)
+    assert at_ell_n["rows"][0]["status"] == "fail"
+    assert at_ell_n["rows"][0]["excludes_p_inverse_eigenvalue"] is False
 
 
 def test_weil_weight_unchecked_shape():

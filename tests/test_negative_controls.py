@@ -12,7 +12,8 @@ import pytest
 from tamenorm import classfield, cli, hecke, lattice, lfactor, mackey, qcomb
 from tamenorm.exactnum import Poly
 
-from oracles import ref_class_number_table, ref_fourier_inversion
+import oracles
+from oracles import ref_class_number_table, ref_fourier_inversion, ref_verify_inclusion_exclusion
 
 
 def run(args, tmp_path):
@@ -199,6 +200,67 @@ def test_measure_identity_fails_on_a_dropped_lattice(monkeypatch):
     assert cert["first_failure"]["invariant"] == [1, 0]
     lattices = lattice.sublattices_up_to_depth(2, 3, 2)
     assert len(lattices) != sum(1 for _ in lattices)
+
+
+def _both_routes(n, ell, depth):
+    """The inclusion-exclusion certificate by the per-image sweep and by the
+    lattice-by-lattice oracle, which must agree on the first failure too."""
+    cert = lattice.verify_inclusion_exclusion(n, ell, depth)
+    assert cert == ref_verify_inclusion_exclusion(n, ell, depth)
+    assert cert["pass"] is False
+    return cert
+
+
+def test_inclusion_exclusion_fails_on_a_perturbed_chain_weight(monkeypatch):
+    # the last member of X_2^{>=1} at ell = 3 is a line; a lattice below it
+    # now sees rhs = lhs + 1
+    def perturbed(real):
+        def fake(*args):
+            w, chains = real(*args)
+            w[-1] += 1
+            return w, chains
+        return fake
+
+    monkeypatch.setattr(lattice, "_chain_weights", perturbed(lattice._chain_weights))
+    monkeypatch.setattr(oracles, "_ref_chain_weights", perturbed(oracles._ref_chain_weights))
+    failure = _both_routes(2, 3, 2)["first_failure"]
+    assert failure["rhs"] == failure["lhs"] + 1 == 2
+    L = lattice.LatticeClass(3, 2, failure["lattice"])
+    assert lattice.contains(lattice.enumerate_X_ge1(2, 3)[-1], L)
+
+
+def test_inclusion_exclusion_fails_on_a_wrong_join(monkeypatch):
+    # two distinct lines of X_2^{>=1} meet in ell Z^2; pointing their join at
+    # the first line breaks the compatibility check below that line
+    members = lattice.enumerate_X_ge1(2, 3)
+    a, b = members[1], members[2]
+    assert not lattice.contains(a, b) and not lattice.contains(b, a)
+    real = lattice.join
+    monkeypatch.setattr(lattice, "join",
+                        lambda L1, L2: L1 if (L1, L2) == (a, b) else real(L1, L2))
+    cert = _both_routes(2, 3, 2)
+    failure = cert["first_failure"]
+    assert failure["reason"] == "containment in join without both factors"
+    assert failure["pair"] in ([1, 2], [2, 1])
+    L = lattice.LatticeClass(3, 2, failure["lattice"])
+    assert lattice.contains(a, L) and not lattice.contains(b, L)
+
+
+def test_inclusion_exclusion_fails_on_a_member_without_ell_zn(monkeypatch):
+    # diag(9, 1) has index 9 and does not contain 3 Z^2: the sweep's premise
+    real = lattice.enumerate_X_ge1
+    bad = lattice.LatticeClass.from_diag_exponents([2, 0], 3)
+
+    def fake(n, ell):
+        members = real(n, ell)
+        members[1] = bad
+        return members
+
+    monkeypatch.setattr(lattice, "enumerate_X_ge1", fake)
+    cert = lattice.verify_inclusion_exclusion(2, 3, 2)
+    assert cert["pass"] is False and cert["cases_checked"] == 0
+    assert cert["first_failure"] == {"reason": "member does not contain ell Z^n",
+                                     "lattice": bad.basis}
 
 
 def test_class_number_sweep_fails_on_a_dropped_class(monkeypatch):
