@@ -16,8 +16,9 @@ the same membership over Q by valuations.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
+from operator import itemgetter
 
 from . import qcomb
 from .matrices import (
@@ -29,7 +30,6 @@ from .matrices import (
     inv_mod_matrix_q,
     is_prime,
     mat_det,
-    rank_mod,
     rref_mod,
     smith_witness_mod,
 )
@@ -268,9 +268,10 @@ def orbit_stabilizer(r, ctx):
 
     # the orbit is the rank-r stratum iff it lies inside it and has its size
     ranks = _rank_table(n, ell)
+    size = ell ** n
     orbit_matches_rank_stratum = (
         len(orbit) == ranks.count(r)
-        and all(ranks[_matrix_index(M, ell)] == r for M in orbit)
+        and all(ranks[_matrix_index(M, size)] == r for M in orbit)
     )
     orbit_size = len(orbit)
     G2 = gl_order(n, ell) ** 2
@@ -302,74 +303,118 @@ def orbit_stabilizer(r, ctx):
     )
 
 
-def _orbit(r, n, ell):
-    """The GL_n x GL_n orbit of X_r in M_n(F_ell), grown by BFS on row codes.
+class _RowCodes:
+    """F_ell^n with the row v coded as sum_j v_j ell^(n-1-j), its index in `vecs`.
 
-    A matrix is held as the tuple of its n row codes, a row v coded as
-    sum_j v_j ell^(n-1-j) (its index in `product(range(ell), repeat=n)`).
-    M g acts row by row, so right multiplication by a generator is n lookups
-    in a table over the ell^n row vectors.  Row i of g M is the combination
-    sum_t g_it M_t, built from a scaling table per entry g_it not in {0, 1}
-    and, if some row of g has two nonzero entries (only for n >= 2), one
-    ell^(2n) addition table; no table exceeds the ell^(n^2) matrix space.
-    Returned as tuples of tuples, decoded through the same vector list.
+    The n row codes of a matrix, read in base ell^n, give its position in
+    `all_matrices_mod` order.  `scaled(c)[a]` codes c v_a and
+    `add[a * ell^n + b]` codes v_a + v_b.  The addition table is built on
+    first use, which only rows with two nonzero entries (n >= 2) make, so no
+    table exceeds the ell^(n^2) matrix space.
     """
-    vecs = list(product(range(ell), repeat=n))
-    size = len(vecs)
 
-    def code(v):
+    def __init__(self, n, ell):
+        self.ell = ell
+        self.size = ell ** n
+        self.vecs = list(product(range(ell), repeat=n))
+
+    def code(self, v):
         c = 0
         for x in v:
-            c = c * ell + x % ell
+            c = c * self.ell + x % self.ell
         return c
 
-    gens = list(gl_generators(n, ell))
-    gens += [inv_mod_matrix_q(g, ell, 1) for g in gens]
-    scalars = {a for g in gens for row in g for a in row} - {0, 1}
-    scaled = {a: [code([a * x for x in v]) for v in vecs] for a in scalars}
-    rights = [[code([sum(v[t] * g[t][j] for t in range(n)) for j in range(n)]) for v in vecs]
-              for g in gens]
-    # row i of g M: (t, scaling table, None for g_it = 1) over the nonzero g_it
-    lefts = [[[(t, scaled.get(a)) for t, a in enumerate(row) if a] for row in g] for g in gens]
-    add = None
-    if any(len(terms) > 1 for recipe in lefts for terms in recipe):
-        add = [code([x + y for x, y in zip(v, w)]) for v in vecs for w in vecs]
+    @cached_property
+    def add(self):
+        return [self.code([x + y for x, y in zip(v, w)]) for v in self.vecs for w in self.vecs]
 
-    def left(recipe, M):
-        out = []
-        for terms in recipe:
-            acc = None
-            for t, tab in terms:
-                c = M[t] if tab is None else tab[M[t]]
-                acc = c if acc is None else add[acc * size + c]
-            out.append(acc)
-        return tuple(out)
+    def scaled(self, c):
+        return [self.code([c * x for x in v]) for v in self.vecs]
 
-    start = tuple(code(row) for row in x_r_matrix(r, n))
+
+@lru_cache(maxsize=1)
+def _row_codes(n, ell):
+    return _RowCodes(n, ell)
+
+
+def _orbit(r, n, ell):
+    """The GL_n x GL_n orbit of X_r in M_n(F_ell) as a set of row-code tuples.
+
+    Grown by BFS under the forward generators only: in a finite group
+    g^{-1} = g^(ord g - 1), so their closure is already the whole orbit.  M g
+    acts row by row, so right multiplication is n lookups in a table over the
+    ell^n row vectors.  Row i of g M is sum_t g_it M_t: a generator whose
+    rows each pick one row of M (the cycle) acts as a tuple of picks; the
+    others combine a scaling table per entry g_it not in {0, 1} with the
+    addition table where a row of g has two nonzero entries.
+    """
+    rc = _row_codes(n, ell)
+    moves = []
+    for g in gl_generators(n, ell):
+        right = [rc.code([sum(v[t] * g[t][j] for t in range(n)) for j in range(n)])
+                 for v in rc.vecs]
+        moves.append(lambda M, right=right: tuple(map(right.__getitem__, M)))
+        recipe = [[(t, a) for t, a in enumerate(row) if a] for row in g]
+        if all(terms == [(terms[0][0], 1)] for terms in recipe):
+            moves.append(itemgetter(*(terms[0][0] for terms in recipe)))
+        else:
+            add = rc.add if any(len(terms) > 1 for terms in recipe) else None
+            moves.append(partial(_left_action, [
+                [(t, None if a == 1 else rc.scaled(a)) for t, a in terms] for terms in recipe
+            ], add, rc.size))
+
+    start = tuple(rc.code(row) for row in x_r_matrix(r, n))
     orbit = {start}
     frontier = [start]
     while frontier:
         M = frontier.pop()
-        for right, recipe in zip(rights, lefts):
-            for Mn in (left(recipe, M), tuple(map(right.__getitem__, M))):
-                if Mn not in orbit:
-                    orbit.add(Mn)
-                    frontier.append(Mn)
-    return {tuple(vecs[c] for c in M) for M in orbit}
+        for move in moves:
+            Mn = move(M)
+            if Mn not in orbit:
+                orbit.add(Mn)
+                frontier.append(Mn)
+    return orbit
+
+
+def _left_action(recipe, add, size, M):
+    """g M in row codes, row i summed over the (t, scaling table) terms of g's row i."""
+    out = []
+    for terms in recipe:
+        acc = None
+        for t, tab in terms:
+            c = M[t] if tab is None else tab[M[t]]
+            acc = c if acc is None else add[acc * size + c]
+        out.append(acc)
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
 def _rank_table(n, ell):
-    """The rank of every matrix in M_n(F_ell), in `all_matrices_mod` order."""
-    return bytes(rank_mod(M, ell) for M in all_matrices_mod(n, n, ell))
+    """The rank of every matrix in M_n(F_ell), in `all_matrices_mod` order.
+
+    A matrix is indexed by its row codes in base ell^n, and
+    rank(rows) = rank(prefix) + [last row not in span(prefix)], so the table
+    needs the span of every prefix shorter than n, each a frozenset of codes
+    extended one row at a time through the addition and scaling tables.
+    """
+    rc = _row_codes(n, ell)
+    size = rc.size
+    prefixes = [(frozenset({0}), 0)]  # (span, rank) of each prefix, in index order
+    for _ in range(n - 1):
+        multiples = list(zip(*(rc.scaled(c) for c in range(ell))))
+        prefixes = [
+            (S, k) if v in S else
+            (frozenset(rc.add[s * size + w] for s in S for w in multiples[v]), k + 1)
+            for S, k in prefixes for v in range(size)
+        ]
+    return bytes(k + (v not in S) for S, k in prefixes for v in range(size))
 
 
-def _matrix_index(M, ell):
-    """The position of M in `all_matrices_mod` order: its entries in base ell."""
+def _matrix_index(M, size):
+    """The position in `all_matrices_mod` order of the matrix with row codes M."""
     i = 0
-    for row in M:
-        for x in row:
-            i = i * ell + x
+    for c in M:
+        i = i * size + c
     return i
 
 
@@ -481,8 +526,7 @@ def flag_orbit_check(ctx):
         gT = tuple(tuple(g[j][i] for j in range(2 * n)) for i in range(2 * n))
         return act(rows, gT)
 
-    gens = list(gl_generators(n, ell))
-    gens += [inv_mod_matrix_q(g, ell, 1) for g in gens]
+    gens = gl_generators(n, ell)
     h_gens = [block_diag(g, ident) for g in gens] + [block_diag(ident, g) for g in gens]
 
     orbit = {delta}

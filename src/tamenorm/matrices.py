@@ -4,7 +4,7 @@ Two flavours live here:
 
 * integer matrices: Hermite normal form (row style, upper triangular),
   determinants, Smith exponents at a prime (elimination modulo a power of it);
-* matrices over F_p and Z/p^N: rank, RREF, inverses, Smith witnesses.
+* matrices over F_p and Z/p^N: RREF, inverses, Smith witnesses.
 
 Everything is pure and allocation-cheap; sizes stay tiny (n <= 8).
 """
@@ -230,10 +230,6 @@ def rref_mod(rows, p):
     return tuple(out)
 
 
-def rank_mod(A, p):
-    return len(rref_mod(A, p))
-
-
 def det_mod(A, p):
     n = len(A)
     M = [[x % p for x in row] for row in A]
@@ -326,12 +322,16 @@ def gl_elements(n, p):
 
 
 def gl_generators(n, p):
-    """A small generating set of GL_n(F_p): torus gen, cycle, transvection."""
+    """A small generating set of GL_n(F_p): torus gen, cycle, transvection.
+
+    The torus generator diag(g, 1, .., 1) with g a primitive root is left out
+    at p = 2, where it is the identity.
+    """
     gens = []
-    g = primitive_root(p)
-    d = [[int(i == j) for j in range(n)] for i in range(n)]
-    d[0][0] = g
-    gens.append(tuple(map(tuple, d)))
+    if p > 2:
+        d = [[int(i == j) for j in range(n)] for i in range(n)]
+        d[0][0] = primitive_root(p)
+        gens.append(tuple(map(tuple, d)))
     if n > 1:
         c = [[0] * n for _ in range(n)]
         for i in range(n):

@@ -34,6 +34,10 @@ multiplication) are routes that only the tests take.
 `ref_class_number_table` is the triple-by-triple loop over the reduced forms
 that tamenorm.classfield.class_number_table replaced by counting one
 arithmetic progression of discriminants per (a, b) and residue class of c.
+`ref_rank_table` is one RREF (`rank_mod`) per matrix of M_n(F_ell), the
+route that tamenorm.hecke._rank_table replaced by extending the span of
+each row prefix, and `ref_orbit` grows the orbit of X_r under the
+generators and their inverses by full matrix products.
 """
 
 from collections import namedtuple
@@ -52,6 +56,7 @@ from tamenorm.matrices import (
     gl_generators,
     inv_mod_matrix_q,
     mat_det,
+    rref_mod,
     smith_ell_exponents_k,
     v_ell,
 )
@@ -706,6 +711,15 @@ def ref_nu_image(r, n, ell):
             if AX == ref_mat_mul(Xr, B):
                 image.add(pow(dA, -1, ell) * dB % ell)
     return image
+
+
+def rank_mod(A, p):
+    return len(rref_mod(A, p))
+
+
+def ref_rank_table(n, ell):
+    """The rank of every matrix in M_n(F_ell), one RREF each, in `all_matrices_mod` order."""
+    return bytes(rank_mod(M, ell) for M in all_matrices_mod(n, n, ell))
 
 
 def ref_orbit(r, n, ell):

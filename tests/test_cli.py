@@ -319,6 +319,22 @@ def test_norm_relation_certificate_digest_at_311_classes(tmp_path):
     assert digest == "20b980cd900d5f8db5ea45df68e8742991bab036527faa0919444262d9298553"
 
 
+# sha256 of the coeffs certificates whose V_r indices come from orbit enumeration
+COEFFS_DIGESTS = {
+    (3, 3): "6b7c33ef8ccd6eaa20ec9c79db90a2159e64cfc17960de2eeef481c4044eb21d",
+    (2, 7): "7581e36d334e9e37dbb7d5e2cbfeb3e1f91758a93c039d2006589f6bd9569b4e",
+}
+
+
+@pytest.mark.parametrize("n,ell", sorted(COEFFS_DIGESTS))
+def test_coeffs_certificate_digest(tmp_path, n, ell):
+    out = tmp_path / "x.json"
+    proc = run_cli(["coeffs", "--n", str(n), "--ell", str(ell), "--out", str(out)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == COEFFS_DIGESTS[n, ell]
+
+
 def test_classgroup_above_300_classes(tmp_path):
     # h(-100007) = 336, cyclic; the greedy generating set has 3 elements
     out = tmp_path / "x.json"

@@ -1,20 +1,23 @@
 import pytest
 from fractions import Fraction
+from itertools import product
 
 from oracles import (
+    rank_mod,
     ref_det,
     ref_elt,
     ref_g_r,
     ref_in_level,
     ref_nu_image,
     ref_orbit,
+    ref_rank_table,
     ref_reduction_element,
     ref_same_coset,
     ref_serialize,
     ref_um_cosets,
     ref_verify_reduction,
 )
-from tamenorm import hecke
+from tamenorm import hecke, matrices
 from tamenorm.hecke import (
     BoundExceeded,
     HeckeContext,
@@ -26,7 +29,14 @@ from tamenorm.hecke import (
     reduce_um_to_psi,
     serialize_cosets,
 )
-from tamenorm.matrices import all_matrices_mod, gl_order, mat_det, rank_mod, smith_witness_mod
+from tamenorm.matrices import (
+    all_matrices_mod,
+    gl_generators,
+    gl_order,
+    mat_det,
+    mat_mul_modq,
+    smith_witness_mod,
+)
 from tamenorm.qcomb import QCombContext, lambda_coefficients, rank_count
 
 # (n, ell, m) with ell^(mn) <= 81: every U_m summand is checked against the
@@ -155,11 +165,17 @@ def test_orbit_sizes_match_rank_counts(n, ell):
         assert rep.orbit_size * rep.stabilizer_order == gl_order(n, ell) ** 2
 
 
+def _as_row_codes(M, ell):
+    """M as the tuple of its row codes, each row's index in product order."""
+    vecs = list(product(range(ell), repeat=len(M)))
+    return tuple(vecs.index(row) for row in M)
+
+
 def test_orbit_certificate_rejects_matrix_of_other_rank(monkeypatch):
     # an orbit of the right size with one rank-2 matrix in it fails the rank table
     orbit = set(hecke._orbit(1, 2, 3))
-    orbit.remove(((1, 0), (0, 0)))
-    orbit.add(((1, 0), (0, 1)))
+    orbit.remove(_as_row_codes(((1, 0), (0, 0)), 3))
+    orbit.add(_as_row_codes(((1, 0), (0, 1)), 3))
     monkeypatch.setattr(hecke, "_orbit", lambda r, n, ell: orbit)
     cert = orbit_stabilizer(1, HeckeContext(2, 3)).certificate
     assert cert["orbit_matches_formula"]
@@ -189,8 +205,54 @@ ORBIT_CELLS = [(n, ell) for n in (1, 2, 3) for ell in (2, 3, 5, 7) if ell ** (n 
 
 @pytest.mark.parametrize("n,ell", ORBIT_CELLS)
 def test_orbit_matches_matrix_product_oracle(n, ell):
+    vecs = list(product(range(ell), repeat=n))
     for r in range(n + 1):
-        assert hecke._orbit(r, n, ell) == ref_orbit(r, n, ell), r
+        orbit = {tuple(vecs[c] for c in M) for M in hecke._orbit(r, n, ell)}
+        assert orbit == ref_orbit(r, n, ell), r
+
+
+@pytest.mark.parametrize("n,ell", ORBIT_CELLS + [(3, 3), (2, 11)])
+def test_rank_table_matches_rref_oracle(n, ell):
+    assert hecke._rank_table(n, ell) == ref_rank_table(n, ell)
+
+
+@pytest.mark.parametrize("n,ell", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_gl_generators_generate_without_identity(n, ell):
+    # the forward generators alone close up to GL_n(F_ell); at ell = 2 the
+    # torus generator would be the identity and is left out
+    gens = gl_generators(n, ell)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert ident not in gens
+    assert len(gens) == (2 if n > 1 else 0) + (ell > 2)
+    group = {ident}
+    frontier = [ident]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            gh = mat_mul_modq(g, h, ell)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    assert len(group) == gl_order(n, ell)
+
+
+def test_a_coefficients_makes_no_rref(monkeypatch):
+    # the (3, 3) rank table comes from prefix spans, not one RREF per matrix
+    calls = []
+    real = matrices.rref_mod
+
+    def counted(rows, p):
+        calls.append(1)
+        return real(rows, p)
+
+    monkeypatch.setattr(hecke, "rref_mod", counted)
+    monkeypatch.setattr(hecke, "rank_mod", counted, raising=False)
+    monkeypatch.setattr(matrices, "rref_mod", counted)
+    hecke._rank_table.cache_clear()
+    hecke._row_codes.cache_clear()
+    _a, cert = a_coefficients(HeckeContext(3, 3))
+    assert cert["pass"] and cert["index_source"] == "enumeration"
+    assert calls == []
 
 
 def test_a_coefficients_n1():
@@ -429,5 +491,5 @@ def test_rank_table_follows_enumeration_order():
     assert [ranks.count(r) for r in range(3)] == [rank_count(r, 2, QCombContext(2, 3))
                                                    for r in range(3)]
     for i, M in enumerate(all_matrices_mod(2, 2, 3)):
-        assert hecke._matrix_index(M, 3) == i
+        assert hecke._matrix_index(_as_row_codes(M, 3), 3 ** 2) == i
         assert ranks[i] == rank_mod(M, 3)
