@@ -13,6 +13,7 @@ otherwise.  All operations are pure; values are immutable.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Rational
 from operator import index
 
 from .matrices import is_prime
@@ -107,7 +108,10 @@ def _make(ell, k, num, den=1):
     `den` > 0), so only the common factor is cancelled, and only when den > 1.
     """
     if den != 1:
-        num, den = _normalize(num, den)
+        g = gcd(den, *num)
+        if g > 1:
+            num = tuple([x // g for x in num])
+            den //= g
     x = _new(ExactScalar)
     x.ell = ell
     x.k = k
@@ -119,6 +123,13 @@ def _make(ell, k, num, den=1):
 def _nonzero_rows(rows):
     """``rows`` with each vector replaced by its nonzero (index, value) pairs."""
     return tuple(tuple((t, v) for t, v in enumerate(row) if v) for row in rows)
+
+
+@lru_cache(maxsize=None)
+def _shift_rows(K, e):
+    """Nonzero entries of z^(t + e) mod Phi_K for t < deg Phi_K (products by z^e)."""
+    d, pows = _ring_tables(K)
+    return _nonzero_rows(pows[(t + e) % K] for t in range(d))
 
 
 @lru_cache(maxsize=None)
@@ -137,6 +148,13 @@ class ExactScalar:
     their scalars are (num[0] + num[1] s) / den, a value in Q(s) that every
     other order holds in positions 0 and d; ring operations with such an
     operand work on those two positions and never lift it.
+
+    A ring operation's result has order lcm of its operands' orders (a
+    rational operand has order 1), whatever their values: a zero or rational
+    value at order 12 still makes the result's order a multiple of 12.  The
+    order shows in ``serialize()`` through the powers of z, so every fast
+    path keeps it.  Operands other than scalars over the same prime are ints
+    and Fractions (``numbers.Rational``); anything else is a TypeError.
     """
 
     __slots__ = ("ell", "k", "num", "den")
@@ -162,6 +180,8 @@ class ExactScalar:
 
     @staticmethod
     def from_rational(q, ell, k=1):
+        if not isinstance(q, Rational):
+            raise TypeError(f"expected an int or Fraction, got {type(q).__name__}")
         q = Fraction(q)
         d, _ = _ring_tables(k)
         num = [0] * (2 * d)
@@ -217,13 +237,15 @@ class ExactScalar:
         return _make(self.ell, K, tuple(out0 + out1), self.den)
 
     def _coerce(self, other):
-        """`other` as a scalar over the same prime (rationals at order 1)."""
+        """`other` as a scalar over the same prime (rationals at order 1), or
+        None if it is neither a scalar nor a rational."""
         if isinstance(other, ExactScalar):
             if other.ell == self.ell:
                 return other
             raise ValueError("scalars live over different base primes")
-        q = Fraction(other)
-        return _make(self.ell, 1, (q.numerator, 0), q.denominator)
+        if isinstance(other, Rational):
+            return _make(self.ell, 1, (other.numerator, 0), other.denominator)
+        return None
 
     def _common(self, other):
         other = self._coerce(other)
@@ -240,6 +262,8 @@ class ExactScalar:
         a, b = self, other
         if not isinstance(b, ExactScalar) or b.ell != a.ell:
             b = a._coerce(b)
+            if b is None:
+                return NotImplemented
         if a.k != b.k:
             if len(b.num) == 2 and a.k % b.k == 0:
                 return _add_small(a, b, 1, sign)
@@ -271,10 +295,18 @@ class ExactScalar:
         a, b = self, other
         if not isinstance(b, ExactScalar) or b.ell != a.ell:
             b = a._coerce(b)
-        if len(b.num) == 2 and a.k % b.k == 0:
+            if b is None:
+                return NotImplemented
+        an, bn = a.num, b.num
+        if len(bn) == 2 and a.k % b.k == 0:
             return _mul_small(a, b)
-        if len(a.num) == 2 and b.k % a.k == 0:
+        if len(an) == 2 and b.k % a.k == 0:
             return _mul_small(b, a)
+        # a monomial c s^i z^j / den (one nonzero coefficient) of dividing order
+        if a.k % b.k == 0 and bn.count(0) == len(bn) - 1:
+            return _mul_monomial(a, b)
+        if b.k % a.k == 0 and an.count(0) == len(an) - 1:
+            return _mul_monomial(b, a)
         if a.k != b.k:
             a, b = a._common(b)
         k, ell = a.k, a.ell
@@ -329,10 +361,12 @@ class ExactScalar:
 
     def __truediv__(self, other):
         # b^-1 lives at b's own order; the product lifts to the common order
-        return self * self._coerce(other).inverse()
+        b = self._coerce(other)
+        return NotImplemented if b is None else self * b.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        b = self._coerce(other)
+        return NotImplemented if b is None else self.inverse() * b
 
     def __pow__(self, e):
         if e < 0:
@@ -454,6 +488,30 @@ def _mul_small(a, b):
     return _make(a.ell, a.k, num, a.den * b.den)
 
 
+def _mul_monomial(a, m):
+    """a * m where m = c s^i z^j / den has one nonzero coefficient and its
+    order k divides a's order K: one pass over the table of z_K^(t + j K/k)."""
+    num = m.num
+    d = len(num) // 2
+    c = sum(num)
+    i, j = divmod(num.index(c), d)
+    K, an = a.k, a.num
+    D = len(an) // 2
+    if i:  # (x0 + x1 s) s = ell x1 + x0 s
+        x0, x1 = [a.ell * c * y for y in an[D:]], [c * y for y in an[:D]]
+    else:
+        x0, x1 = [c * y for y in an[:D]], [c * y for y in an[D:]]
+    out0 = [0] * D
+    out1 = [0] * D
+    for t, row in enumerate(_shift_rows(K, j * (K // m.k))):
+        c0, c1 = x0[t], x1[t]
+        if c0 or c1:
+            for u, v in row:
+                out0[u] += c0 * v
+                out1[u] += c1 * v
+    return _make(a.ell, K, tuple(out0 + out1), a.den * m.den)
+
+
 def _add_small(a, b, sa, sb):
     """sa * a + sb * b where b = (p + q s) / den has d = 1 and its order
     divides a's; sa and sb are +1 or -1."""
@@ -508,32 +566,6 @@ class Poly:
 
     def constant_term(self):
         return self.coeffs[0]
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else None
-            b = other.coeffs[i] if i < len(other.coeffs) else None
-            if a is None:
-                out.append(b)
-            elif b is None:
-                out.append(a)
-            else:
-                out.append(a + b)
-        return Poly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, ExactScalar):
-            return Poly([c * other for c in self.coeffs])
-        zero = self.coeffs[0] - self.coeffs[0]
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

@@ -93,28 +93,33 @@ class CharacterValue:
 
 
 def frob_poly_from_satake(sp):
-    """P_lambda(X) = prod (1 - alpha_i s^{2n-1} X) and P(X) = P_lambda(ell^{-n} X)."""
+    """P(X) = prod (1 - alpha_i s^{-1} X) and P_lambda(X) = P(ell^n X).
+
+    P is expanded one linear factor at a time, p_j <- p_j - c_i p_{j-1}.  As
+    in the schoolbook product of the factors, a zero-valued coefficient
+    contributes no term, so each coefficient's order is the lcm of the orders
+    of its nonzero contributions only.
+    """
     n, ell = sp.n, sp.ell
-    one = ExactScalar.one(ell)
-    s = ExactScalar.sqrt_ell(ell)
-    s_pow = s ** (2 * n - 1)
-    s_inv = s / ell  # s^{-1} = s / ell exactly
-    P_lam = Poly([one])
-    P_cen = Poly([one])
+    zero, one = ExactScalar.zero(ell), ExactScalar.one(ell)
+    s_inv = ExactScalar.sqrt_ell(ell) / ell  # s^{-1} = s / ell exactly
+    coeffs = [one]
     for a in sp.alpha:
-        P_lam = P_lam * Poly([one, -(a * s_pow)])
-        P_cen = P_cen * Poly([one, -(a * s_inv)])
-    return FrobPoly(n, ell, P_lam, P_cen)
+        c = a * s_inv
+        padded = [p if p else zero for p in coeffs[1:]] + [zero]  # zeros drop out
+        coeffs = [one] + [p - c * q if q else p for p, q in zip(padded, coeffs)]
+    P_lam = Poly([p * ell ** (n * j) for j, p in enumerate(coeffs)])
+    return FrobPoly(n, ell, P_lam, Poly(coeffs))
 
 
 def local_l_inverse(sp, chi_ell):
     """L(sigma tensor chi, 1/2)^{-1} = prod (1 - alpha_i chi(ell) / s), directly."""
     ell = sp.ell
     one = ExactScalar.one(ell)
-    s_inv = ExactScalar.sqrt_ell(ell) / ell
+    c = chi_ell * ExactScalar.sqrt_ell(ell) / ell
     out = one
     for a in sp.alpha:
-        out = out * (one - a * chi_ell * s_inv)
+        out = out * (one - a * c)
     return out
 
 

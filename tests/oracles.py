@@ -38,6 +38,10 @@ arithmetic progression of discriminants per (a, b) and residue class of c.
 route that tamenorm.hecke._rank_table replaced by extending the span of
 each row prefix, and `ref_orbit` grows the orbit of X_r under the
 generators and their inverses by full matrix products.
+`ref_frob_poly` forms P_lambda and P as two products of 2n binomials with
+the schoolbook `ref_poly_mul`, the route that
+tamenorm.lfactor.frob_poly_from_satake replaced by one linear-factor
+recurrence for P.
 """
 
 from collections import namedtuple
@@ -47,7 +51,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
 
 from tamenorm import classfield, hecke, lattice, lfactor
-from tamenorm.exactnum import ExactScalar
+from tamenorm.exactnum import ExactScalar, Poly
 from tamenorm.classfield import _elt_mul, _ideal_to_form, form_to_ideal
 from tamenorm.lattice import LatticeClass, relative_position
 from tamenorm.matrices import (
@@ -373,6 +377,52 @@ class RefScalar:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over ExactScalar multiplied schoolbook, and the Frobenius
+# polynomials as two independent products of 2n linear factors.
+
+
+def ref_poly_add(P, Q):
+    """P + Q, coefficient by coefficient."""
+    n = max(len(P.coeffs), len(Q.coeffs))
+    out = []
+    for i in range(n):
+        a = P.coeffs[i] if i < len(P.coeffs) else None
+        b = Q.coeffs[i] if i < len(Q.coeffs) else None
+        out.append(b if a is None else a if b is None else a + b)
+    return Poly(out)
+
+
+def ref_poly_mul(P, Q):
+    """P * Q schoolbook; a zero-valued coefficient of P contributes no term."""
+    zero = P.coeffs[0] - P.coeffs[0]
+    out = [zero] * (len(P.coeffs) + len(Q.coeffs) - 1)
+    for i, a in enumerate(P.coeffs):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(Q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(out)
+
+
+def ref_frob_poly(sp):
+    """P_lambda = prod (1 - alpha_i s^{2n-1} X) and P = prod (1 - alpha_i s^{-1} X),
+    each its own product of 2n binomials; the route that
+    tamenorm.lfactor.frob_poly_from_satake replaced by one recurrence for P
+    and P_lambda(X) = P(ell^n X)."""
+    n, ell = sp.n, sp.ell
+    one = ExactScalar.one(ell)
+    s = ExactScalar.sqrt_ell(ell)
+    s_pow = s ** (2 * n - 1)
+    s_inv = s / ell
+    P_lam = Poly([one])
+    P_cen = Poly([one])
+    for a in sp.alpha:
+        P_lam = ref_poly_mul(P_lam, Poly([one, -(a * s_pow)]))
+        P_cen = ref_poly_mul(P_cen, Poly([one, -(a * s_inv)]))
+    return lfactor.FrobPoly(n, ell, P_lam, P_cen)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 import pytest
 from fractions import Fraction
 
+from tamenorm import exactnum
 from tamenorm.exactnum import (
     MAX_ORDER,
     ExactScalar,
@@ -11,7 +12,7 @@ from tamenorm.exactnum import (
     cyclotomic_poly,
 )
 
-from oracles import RefScalar
+from oracles import RefScalar, ref_poly_add, ref_poly_mul
 
 
 def rat(q, ell=5, k=1):
@@ -166,11 +167,14 @@ def test_poly_eval_trivial_and_derived():
     P = Poly([one, -one])
     assert P.eval(one).is_zero()
     # P(X) = (1 - sX)^2 at X = 1/5 -> (6 - 2s)/5, same expansion as above
-    Q = Poly([one, -s]) * Poly([one, -s])
+    Q = ref_poly_mul(Poly([one, -s]), Poly([one, -s]))
     val = Q.eval(rat(Fraction(1, 5)))
     assert val == (rat(6) - rat(2) * s) / rat(5)
     # any P at 0 -> constant term
     assert Q.eval(rat(0)) == Q.constant_term()
+    # evaluation is additive
+    x = ExactScalar.zeta(ell, 6)
+    assert ref_poly_add(P, Q).eval(x) == P.eval(x) + Q.eval(x)
 
 
 def test_poly_degree_trimming():
@@ -190,6 +194,28 @@ def test_public_constructor_rejects_non_integers():
         ExactScalar(5, 1, (1.5, 0))
     with pytest.raises(ValueError):
         ExactScalar(5, 1, (1, 0), 2.0)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", None, 1j])
+def test_operands_other_than_rationals_are_refused(bad):
+    one = rat(1)
+    for op in (lambda: one * bad, lambda: bad * one, lambda: one + bad,
+               lambda: bad + one, lambda: one - bad, lambda: bad - one,
+               lambda: one / bad, lambda: bad / one):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(TypeError):
+        ExactScalar.from_rational(bad, 5)
+    assert one != bad
+
+
+def test_int_bool_and_fraction_operands_are_exact():
+    one = rat(1)
+    assert (one * Fraction(1, 3)).serialize() == "1/3"
+    assert (Fraction(1, 3) + one).serialize() == "4/3"
+    assert (2 / ExactScalar.sqrt_ell(5)).serialize() == "2/5*s"
+    assert (one + True).serialize() == "2"
+    assert ExactScalar.from_rational(Fraction(-2, 6), 5).serialize() == "-1/3"
 
 
 @pytest.mark.parametrize("k", [0, -3])
@@ -314,3 +340,90 @@ def test_kernel_agrees_with_sympy():
         except NotInvertibleError:
             continue
         assert is_zero(to_sympy(inv) * sa - 1)
+
+
+MONOMIAL_ORDERS = (3, 4, 5, 6, 8, 10, 12)
+
+
+def _monomials(rng, ell, k):
+    """c s^i z^j / den for every j < deg Phi_k and i in {0, 1}, with negative
+    c and den > 1 among them, as (ExactScalar, RefScalar) pairs."""
+    d = len(cyclotomic_poly(k)) - 1
+    for i in (0, 1):
+        for j in range(d):
+            num = [0] * (2 * d)
+            num[i * d + j] = (-1) ** j * rng.randint(1, 9)
+            den = rng.randint(2, 12) if (i + j) % 2 else 1
+            yield ExactScalar(ell, k, num, den), RefScalar(ell, k, num, den)
+
+
+@pytest.fixture
+def monomial_calls(monkeypatch):
+    """The orders of the monomials that took the monomial product path."""
+    calls = []
+    real = exactnum._mul_monomial
+    monkeypatch.setattr(exactnum, "_mul_monomial",
+                        lambda a, m: calls.append(m.k) or real(a, m))
+    return calls
+
+
+def test_monomial_products_match_reference(monomial_calls):
+    # a monomial of order k times operands at every multiple order K <= 60,
+    # on both sides; the spy shows the monomial path ran
+    rng = random.Random(1717)
+    for k in MONOMIAL_ORDERS:
+        ell = rng.choice((2, 3, 5, 7))
+        monomials = list(_monomials(rng, ell, k))
+        for K in range(k, 61, k):
+            d = len(cyclotomic_poly(K)) - 1
+            num, den = [rng.randint(-9, 9) for _ in range(2 * d)], rng.randint(1, 6)
+            a, ra = ExactScalar(ell, K, num, den), RefScalar(ell, K, num, den)
+            zero, rzero = ExactScalar.zero(ell, K), RefScalar.from_rational(0, ell, K)
+            for m, rm in monomials:
+                for x, rx in ((a, ra), (zero, rzero)):
+                    before = len(monomial_calls)
+                    _same(x * m, rx * rm)
+                    _same(m * x, rm * rx)
+                    assert len(monomial_calls) == before + 2
+
+
+def test_multi_term_roots_take_the_generic_product(monomial_calls):
+    # zeta_k^e with e >= deg Phi_k times an operand with no zero coefficient:
+    # the monomial path only when the residue is one term (zeta_4^2 = -1),
+    # otherwise (zeta_3^2 = -1 - z) the generic product
+    rng = random.Random(1718)
+    generic = 0
+    for k in MONOMIAL_ORDERS:
+        ell = rng.choice((2, 3, 5, 7))
+        d = len(cyclotomic_poly(k)) - 1
+        for e in range(d, k):
+            z = ExactScalar.zeta(ell, k, e)
+            rz = RefScalar(ell, k, z.num, z.den)
+            one_term = sum(1 for c in z.num if c) == 1
+            generic += not one_term
+            for K in (k, 2 * k, 5 * k):
+                dK = len(cyclotomic_poly(K)) - 1
+                num = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(2 * dK)]
+                den = rng.randint(1, 6)
+                a, ra = ExactScalar(ell, K, num, den), RefScalar(ell, K, num, den)
+                before = len(monomial_calls)
+                _same(a * z, ra * rz)
+                _same(z * a, rz * ra)
+                assert len(monomial_calls) - before == (2 if one_term else 0)
+    assert generic > 0
+
+
+def test_monomial_product_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    ell, k, K = 3, 4, 12
+    m = ExactScalar(ell, k, [0, 0, 0, -5], 3)  # -5/3 s z
+    a = ExactScalar(ell, K, [1, -2, 0, 3, 4, 0, -1, 2], 5)
+
+    def to_sympy(v):
+        z = sympy.exp(2 * sympy.pi * sympy.I / v.k)
+        return sum(sympy.Rational(v.num[i * v.d + j], v.den) * sympy.sqrt(ell) ** i * z ** j
+                   for i in (0, 1) for j in range(v.d))
+
+    diff = sympy.expand(to_sympy(a * m) - to_sympy(a) * to_sympy(m))
+    assert diff == 0 or sympy.minimal_polynomial(diff, x) == x

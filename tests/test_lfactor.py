@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -17,7 +19,7 @@ from tamenorm.lfactor import (
 )
 from tamenorm.matrices import is_prime
 
-from oracles import ref_fourier_inversion
+from oracles import ref_fourier_inversion, ref_frob_poly, ref_poly_mul
 
 
 def rat(q, ell):
@@ -34,7 +36,7 @@ def test_frob_poly_all_ones():
     fp = frob_poly_from_satake(sp)
     s = ExactScalar.sqrt_ell(5)
     one = rat(1, 5)
-    want = Poly([one, -s]) * Poly([one, -s])
+    want = ref_poly_mul(Poly([one, -s]), Poly([one, -s]))
     assert fp.p_lambda == want
     assert fp.p_lambda.constant_term().is_one()
     assert fp.p_lambda.eval(rat(0, 5)).is_one()
@@ -50,14 +52,16 @@ def test_frob_poly_plus_minus():
 
 
 def test_p_central_is_twist():
-    # P(X) = P_lambda(ell^{-n} X): evaluate both ways on sample points
+    # P(X) = P_lambda(ell^{-n} X): P from the recurrence against P_lambda as
+    # its own product of binomials, on sample points
     for n, ell in [(1, 5), (2, 3)]:
         sp = sp_ones(n, ell)
-        fp = frob_poly_from_satake(sp)
+        p_central = frob_poly_from_satake(sp).p_central
+        p_lambda = ref_frob_poly(sp).p_lambda
         for e, k in [(0, 1), (1, 4), (1, 3)]:
             x = ExactScalar.zeta(ell, k, e)
-            lhs = fp.p_central.eval(x)
-            rhs = fp.p_lambda.eval(x * rat(Fraction(1, ell ** n), ell))
+            lhs = p_central.eval(x)
+            rhs = p_lambda.eval(x * rat(Fraction(1, ell ** n), ell))
             assert lhs == rhs
 
 
@@ -93,6 +97,42 @@ def test_central_value_symmetric_case():
 
 
 PALETTE = [(0, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 6), (5, 6)]
+
+
+def _palette_grid(ns):
+    """SatakeParams for every palette combination of criterion 8."""
+    for n in ns:
+        for ell in (2, 3, 5, 7):
+            for combo in combinations_with_replacement(PALETTE, 2 * n):
+                yield SatakeParams.from_root_exponents(n, ell, list(combo))
+
+
+def test_frob_poly_matches_two_products_on_the_palette_grid():
+    # each coefficient's value, order and text, against the two products
+    for sp in _palette_grid((1, 2, 3)):
+        fp, ref = frob_poly_from_satake(sp), ref_frob_poly(sp)
+        for got, want in ((fp.p_central, ref.p_central), (fp.p_lambda, ref.p_lambda)):
+            assert len(got.coeffs) == len(want.coeffs) == 2 * sp.n + 1
+            for a, b in zip(got.coeffs, want.coeffs):
+                assert (a.k, a.num, a.den) == (b.k, b.num, b.den)
+                assert a.serialize() == b.serialize()
+
+
+def test_palette_serializations_are_pinned():
+    # P_lambda, P, P(chi(ell)) and the tame factor at chi of order 1..6 over
+    # the criterion-8 grid at n <= 2; the sha256 was computed before
+    # frob_poly_from_satake derived P_lambda from P and before the monomial
+    # product path in ExactScalar existed
+    h = hashlib.sha256()
+    for sp in _palette_grid((1, 2)):
+        fp = frob_poly_from_satake(sp)
+        h.update(fp.p_lambda.serialize().encode() + b"\n")
+        h.update(fp.p_central.serialize().encode() + b"\n")
+        for k in range(1, 7):
+            chi = CharacterValue.primitive(sp.ell, k)
+            h.update(fp.p_central.eval(chi.chi_ell).serialize().encode() + b"\n")
+            h.update(tame_factor(sp, chi).serialize().encode() + b"\n")
+    assert h.hexdigest() == "3ce1f431d805400cba819c9bb89b28c33447281629eb6759ac3c60f194bb21a0"
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
