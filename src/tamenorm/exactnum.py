@@ -13,7 +13,7 @@ otherwise.  All operations are pure; values are immutable.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from numbers import Rational
+from numbers import Number, Rational
 from operator import index
 
 from .matrices import is_prime
@@ -421,6 +421,8 @@ class ExactScalar:
             return (self.den == other.denominator and self.num[0] == other.numerator
                     and not any(self.num[1:]))
         if not isinstance(other, ExactScalar):
+            if isinstance(other, Number):   # a float or complex, as in arithmetic
+                raise TypeError(f"cannot compare a scalar with {type(other).__name__}")
             return NotImplemented
         if self.ell != other.ell:
             return False

@@ -10,6 +10,10 @@ so all measures here are lattice counts.
 The two verification routines check, over every sublattice of Z^n at a given
 depth, the chain-wise inclusion-exclusion identity and the per-invariant
 measure identity that pins down the lambda coefficients of module `qcomb`.
+The members of X_n^{>=1} all contain ell Z^n, so inclusion-exclusion reads
+their containments and joins off their subspaces of F_ell^n, as bitsets
+compared and intersected by AND; the HNF join by duality that they replaced
+is the test oracle `join` in tests/oracles.py.
 """
 
 from dataclasses import dataclass
@@ -20,7 +24,6 @@ from . import qcomb
 from .matrices import (
     BoundExceeded,
     ell_normalize,
-    hnf_rows,
     is_prime,
     rref_mod,
     smith_ell_exponents_k,
@@ -142,66 +145,6 @@ def contains(L_big, L_small):
                 for i in range(j + 1, n):
                     b[i] -= c * Hj[i]
     return True
-
-
-def join(L1, L2):
-    """The join L1 v L2 = L1 intersect L2, via duality: (L1* + L2*)*.
-
-    With D the larger determinant, D L* is spanned by the columns of
-    (D / det H) adj(H) for the canonical basis H of L; the intersection is
-    spanned by the columns of D Hd^{-1} = D adj(Hd) / det(Hd), Hd the
-    canonical basis of D (L1* + L2*).  All of it is integer arithmetic, and
-    both spans are Z-lattices of ell-power index, so one HNF each is their
-    canonical basis.
-    """
-    _check_compatible(L1, L2)
-    ell, n = L1.ell, L1.n
-    adj = [_adjugate_upper(L.basis) for L in (L1, L2)]
-    D = max(det for det, _ in adj)
-    dual_rows = []
-    for det, X in adj:
-        s = D // det
-        dual_rows.extend([s * X[i][j] for i in range(n)] for j in range(n))
-    det_d, Xd = _adjugate_upper(_ell_power_hnf(dual_rows, ell))
-    out = []
-    for j in range(n):
-        row = []
-        for i in range(n):
-            x = D * Xd[i][j]
-            if x % det_d:
-                raise ArithmeticError("intersection of integral lattices must be integral")
-            row.append(x // det_d)
-        out.append(row)
-    return LatticeClass(ell, n, _ell_power_hnf(out, ell))
-
-
-def _ell_power_hnf(rows, ell):
-    """The HNF of integer rows spanning a Z-lattice of ell-power index, which
-    is then its canonical basis over Z_ell too; the index is checked exactly."""
-    H = hnf_rows(rows)
-    det = prod(H[i][i] for i in range(len(H)))
-    if ell ** v_ell(det, ell) != det:
-        raise ArithmeticError(f"index {det} is not a power of {ell}")
-    return H
-
-
-def _adjugate_upper(H):
-    """(det H, adj H) of an upper-triangular integer matrix, by back substitution.
-
-    adj H = det(H) H^{-1} is integral, so each division below is exact.
-    """
-    n = len(H)
-    det = 1
-    for i in range(n):
-        det *= H[i][i]
-    X = [[0] * n for _ in range(n)]
-    for c in range(n):
-        for i in range(c, -1, -1):
-            s = det if i == c else 0
-            for j in range(i + 1, c + 1):
-                s -= H[i][j] * X[j][c]
-            X[i][c] = s // H[i][i]
-    return det, X
 
 
 def _check_compatible(L1, L2):
@@ -397,11 +340,15 @@ def verify_inclusion_exclusion(n, ell, depth):
     and the semilattice compatibility in poset form: L' below join(L1, L2)
     iff L' below L1 and L' below L2, over all member pairs.
 
-    Every member contains ell Z^n (checked first), so L' lies below a member
-    iff L' + ell Z^n does: the set S of members above L', and every check
-    made at L', depend only on the image of L' mod ell.  The checks run with
-    real containments at the first L' of each image and are not repeated for
-    the later ones, which pass or fail alike.
+    Every member contains ell Z^n (checked first), so a member L is its
+    subspace L / ell Z^n of F_ell^n, held as a bitset: a member contains
+    another iff its subspace does, and the join of two members is the member
+    whose subspace is the intersection of theirs.  For the same reason L'
+    lies below a member iff L' + ell Z^n does: the set S of members above L',
+    and every check made at L', depend only on the image of L' mod ell.  The
+    checks run with real containments at the first L' of each image, so they
+    test the bitset tables against the lattices, and are not repeated for the
+    later ones, which pass or fail alike.
     """
     _check_request(n, ell, depth)
     M = sum(qcomb.q_binomial(n, d, ell) for d in range(n))  # |X_n^{>=1}|
@@ -415,25 +362,16 @@ def verify_inclusion_exclusion(n, ell, depth):
             return _cert("inclusion_exclusion", n, ell, depth, 0, False,
                          {"reason": "member does not contain ell Z^n",
                           "lattice": L.basis})
-    above = [[a == k or contains(members[a], members[k]) for k in range(M)]
-             for a in range(M)]
+    masks = [_subspace_mask(L.basis, ell) for L in members]
+    above = [[a & b == b for b in masks] for a in masks]
     w, n_chains = _chain_weights(members, above)
 
-    index = {members[i]: i for i in range(M)}
-    join_idx = [[0] * M for _ in range(M)]
-    for i in range(M):
-        for j in range(i, M):
-            if above[i][j]:
-                k = j               # the join of comparable members is the smaller
-            elif above[j][i]:
-                k = i
-            else:
-                k = index.get(join(members[i], members[j]))
-                if k is None:
-                    return _cert("inclusion_exclusion", n, ell, depth, 0, False,
-                                 {"reason": "join left the generated semilattice",
-                                  "pair": [members[i].basis, members[j].basis]})
-            join_idx[i][j] = join_idx[j][i] = k
+    join_idx, missing = _join_table(masks)
+    if missing:
+        i, j = missing
+        return _cert("inclusion_exclusion", n, ell, depth, 0, False,
+                     {"reason": "join left the generated semilattice",
+                      "pair": [members[i].basis, members[j].basis]})
 
     pairs_by_join = [[] for _ in range(M)]
     for i in range(M):
@@ -452,6 +390,40 @@ def verify_inclusion_exclusion(n, ell, depth):
         cases += 1
     return _cert("inclusion_exclusion", n, ell, depth, cases, True, None,
                  extra={"members": M, "chains": n_chains})
+
+
+def _subspace_mask(basis, ell):
+    """The span of the rows of `basis` mod ell as a bitset over F_ell^n: bit c
+    is set iff the span holds the vector v of base-ell code sum_i v_i ell^i."""
+    span = {(0,) * len(basis)}
+    for row in basis:
+        if tuple(x % ell for x in row) not in span:
+            span = {tuple((a + c * b) % ell for a, b in zip(v, row))
+                    for c in range(ell) for v in span}
+    mask = 0
+    for v in span:
+        code = 0
+        for a in reversed(v):
+            code = code * ell + a
+        mask |= 1 << code
+    return mask
+
+
+def _join_table(masks):
+    """The member index of every join, read off the members' subspace
+    bitsets: the join of members i and j is the member whose subspace is
+    V_i cap V_j.  Returns (table, None), or (None, (i, j)) for the first pair
+    i <= j whose intersection is no member's subspace."""
+    index = {m: k for k, m in enumerate(masks)}
+    table = []
+    for i, a in enumerate(masks):
+        row = [index.get(a & b) for b in masks]
+        if None in row:
+            # the rows before i have no gap, so by symmetry this one's first
+            # gap lies at j >= i
+            return None, (i, row.index(None))
+        table.append(row)
+    return table, None
 
 
 def _check_pointwise(L, members, w, join_idx, pairs_by_join):

@@ -28,7 +28,11 @@ lattices between ell^depth Z^n and Z^n.  `ref_verify_inclusion_exclusion`
 is the lattice-by-lattice inclusion-exclusion sweep, with every member
 joined and every containment tested at every lattice, that
 tamenorm.lattice.verify_inclusion_exclusion replaced by one verdict per
-image mod ell.  `smith_ell_exponents` (k from a
+image mod ell.  `join` is the lattice intersection by duality and two
+canonical HNFs (`_ell_power_hnf`, `_adjugate_upper`) that the same function
+replaced by ANDing the members' subspaces of F_ell^n as bitsets; it is the
+join of the lattice-by-lattice sweep, and `ref_join` is its Fraction
+reference.  `smith_ell_exponents` (k from a
 Bareiss determinant) and `ideal_product_form` (composition by ideal
 multiplication) are routes that only the tests take.
 `ref_class_number_table` is the triple-by-triple loop over the reduced forms
@@ -58,6 +62,7 @@ from tamenorm.matrices import (
     all_matrices_mod,
     ell_normalize,
     gl_generators,
+    hnf_rows,
     inv_mod_matrix_q,
     mat_det,
     rref_mod,
@@ -428,7 +433,7 @@ def ref_frob_poly(sp):
 # ---------------------------------------------------------------------------
 # The minor-enumeration and Fraction kernels replaced by integer ell-adic
 # elimination, kept as the slow references for relative_position, contains,
-# join and the U_m -> psi_m witness check.
+# the HNF join and the U_m -> psi_m witness check.
 
 
 def _leibniz_det(M):
@@ -540,6 +545,66 @@ def ref_join(L1, L2):
     return LatticeClass.from_rows(out, ell)
 
 
+def join(L1, L2):
+    """The join L1 v L2 = L1 intersect L2, via duality: (L1* + L2*)*.
+
+    With D the larger determinant, D L* is spanned by the columns of
+    (D / det H) adj(H) for the canonical basis H of L; the intersection is
+    spanned by the columns of D Hd^{-1} = D adj(Hd) / det(Hd), Hd the
+    canonical basis of D (L1* + L2*).  All of it is integer arithmetic, and
+    both spans are Z-lattices of ell-power index, so one HNF each is their
+    canonical basis.
+    """
+    lattice._check_compatible(L1, L2)
+    ell, n = L1.ell, L1.n
+    adj = [_adjugate_upper(L.basis) for L in (L1, L2)]
+    D = max(det for det, _ in adj)
+    dual_rows = []
+    for det, X in adj:
+        s = D // det
+        dual_rows.extend([s * X[i][j] for i in range(n)] for j in range(n))
+    det_d, Xd = _adjugate_upper(_ell_power_hnf(dual_rows, ell))
+    out = []
+    for j in range(n):
+        row = []
+        for i in range(n):
+            x = D * Xd[i][j]
+            if x % det_d:
+                raise ArithmeticError("intersection of integral lattices must be integral")
+            row.append(x // det_d)
+        out.append(row)
+    return LatticeClass(ell, n, _ell_power_hnf(out, ell))
+
+
+def _ell_power_hnf(rows, ell):
+    """The HNF of integer rows spanning a Z-lattice of ell-power index, which
+    is then its canonical basis over Z_ell too; the index is checked exactly."""
+    H = hnf_rows(rows)
+    det = prod(H[i][i] for i in range(len(H)))
+    if ell ** v_ell(det, ell) != det:
+        raise ArithmeticError(f"index {det} is not a power of {ell}")
+    return H
+
+
+def _adjugate_upper(H):
+    """(det H, adj H) of an upper-triangular integer matrix, by back substitution.
+
+    adj H = det(H) H^{-1} is integral, so each division below is exact.
+    """
+    n = len(H)
+    det = 1
+    for i in range(n):
+        det *= H[i][i]
+    X = [[0] * n for _ in range(n)]
+    for c in range(n):
+        for i in range(c, -1, -1):
+            s = det if i == c else 0
+            for j in range(i + 1, c + 1):
+                s -= H[i][j] * X[j][c]
+            X[i][c] = s // H[i][i]
+    return det, X
+
+
 def smith_ell_exponents(M, ell):
     """Elementary-divisor ell-exponents with k = v_ell(det M) from a Bareiss
     determinant, the route for a matrix that is not triangular."""
@@ -593,9 +658,10 @@ def _ref_chain_weights(members):
 
 def ref_verify_inclusion_exclusion(n, ell, depth):
     """Chain-wise inclusion-exclusion over X_n^{>=1}, every member pair joined
-    and the set S of members above each lattice recomputed at every lattice.
-    The lattice helpers are looked up on the module at call time, so a test
-    that patches one patches it for this route too."""
+    by the HNF `join` and the set S of members above each lattice recomputed
+    at every lattice.  The lattice helpers, and `join` and `_ref_chain_weights`
+    here, are looked up on their modules at call time, so a test can patch
+    them for this route."""
     lattice._check_request(n, ell, depth)
     M = sum(q_binomial(n, d, ell) for d in range(n))
     if M * (M + 1) // 2 > lattice.MAX_JOINS:
@@ -610,7 +676,7 @@ def ref_verify_inclusion_exclusion(n, ell, depth):
     join_idx = [[0] * M for _ in range(M)]
     for i in range(M):
         for j in range(i, M):
-            J = lattice.join(members[i], members[j])
+            J = join(members[i], members[j])
             if J not in index:
                 return cert(0, False, {"reason": "join left the generated semilattice",
                                        "pair": [members[i].basis, members[j].basis]})

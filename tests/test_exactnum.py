@@ -206,7 +206,24 @@ def test_operands_other_than_rationals_are_refused(bad):
             op()
     with pytest.raises(TypeError):
         ExactScalar.from_rational(bad, 5)
-    assert one != bad
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, 1j, float("nan")])
+def test_comparison_with_a_non_rational_number_is_refused(bad):
+    # as in arithmetic: 1 == 1.0 would otherwise be silently False
+    one = rat(1, k=3)
+    for op in (lambda: one == bad, lambda: one != bad, lambda: bad == one,
+               lambda: bad != one):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("other", ["1", None, (1,), object()])
+def test_comparison_with_a_non_number_is_false(other):
+    one = rat(1)
+    assert not one == other and one != other
+    assert not other == one and other != one
+    assert one == 1 and one == Fraction(2, 2) and one == rat(1, k=4)
 
 
 def test_int_bool_and_fraction_operands_are_exact():

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from oracles import (
+    join,
     ref_contains,
     ref_det,
     ref_hnf_candidates,
@@ -26,7 +27,6 @@ from tamenorm.lattice import (
     contains,
     enumerate_sublattices,
     enumerate_X_ge1,
-    join,
     relative_position,
     solve_lambda_from_counts,
     sublattices_up_to_depth,
@@ -256,7 +256,7 @@ def test_inclusion_exclusion_passes(n, ell, depth):
 
 
 @pytest.mark.parametrize("n,ell,depth",
-                         LATTICE_GRID + [(3, 7, 2), (2, 7, 3), (3, 2, 4), (1, 5, 4)])
+                         LATTICE_GRID + [(3, 7, 2), (2, 7, 3), (3, 2, 4), (1, 5, 4), (4, 3, 1)])
 def test_inclusion_exclusion_matches_lattice_by_lattice_oracle(n, ell, depth):
     assert verify_inclusion_exclusion(n, ell, depth) == ref_verify_inclusion_exclusion(n, ell, depth)
 
@@ -269,10 +269,45 @@ def test_inclusion_exclusion_certificate_bytes_are_pinned():
         "4bfd2a14b773897e62dacbb9c1cecf7b7f3867de99c99ce0c3c9abaa942a6fcc")
 
 
+def test_inclusion_exclusion_rank_4_certificate_bytes_are_pinned():
+    # digest of the certificate made by the HNF joins, before the bitset tables
+    cert = verify_inclusion_exclusion(4, 5, 1)
+    assert (cert["cases_checked"], cert["members"], cert["chains"]) == (1120, 1119, 89285)
+    blob = json.dumps(cert, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "3f2be48048b303057a8d5e14206418a0247c05e9eecda10a80fec5760ff76342")
+
+
+@pytest.mark.parametrize("n,ell", [(2, 3), (3, 2), (3, 3), (3, 5), (4, 2), (3, 7), (4, 3)])
+def test_member_bitset_tables_match_contains_and_hnf_join(monkeypatch, n, ell):
+    # the containment matrix and join table the sweep reads off the subspace
+    # bitsets, against real containments and the HNF join on every member pair
+    seen = {}
+    real_weights, real_table = lattice._chain_weights, lattice._join_table
+
+    def weights(members, above):
+        seen["members"], seen["above"] = members, above
+        return real_weights(members, above)
+
+    def table(masks):
+        seen["join"], missing = real_table(masks)
+        return seen["join"], missing
+
+    monkeypatch.setattr(lattice, "_chain_weights", weights)
+    monkeypatch.setattr(lattice, "_join_table", table)
+    assert verify_inclusion_exclusion(n, ell, 1)["pass"]
+    members, above, join_idx = seen["members"], seen["above"], seen["join"]
+    assert len(members) <= 211
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            assert above[i][j] == contains(a, b), (a, b)
+            assert members[join_idx[i][j]] == join(a, b), (a, b)
+
+
 def test_inclusion_exclusion_containments_scale_with_members(monkeypatch):
-    # the premise (M), the member containment matrix (M^2) and one set S per
-    # image mod ell (at most M + 1 images, M containments each), however many
-    # of the 2,607 lattices share an image
+    # the premise (M) and one set S per image mod ell (at most M + 1 images,
+    # M containments each), however many of the 2,607 lattices share an
+    # image; the member containment matrix comes from the subspace bitsets
     calls = []
     real = lattice.contains
 
@@ -284,7 +319,7 @@ def test_inclusion_exclusion_containments_scale_with_members(monkeypatch):
     cert = verify_inclusion_exclusion(3, 5, 2)
     M = cert["members"]
     assert (M, cert["cases_checked"]) == (63, 2607)
-    assert len(calls) <= M * M + M * (M + 1) + M
+    assert len(calls) <= M * (M + 1) + M
 
 
 @pytest.mark.parametrize("n,ell,depth", [

@@ -231,19 +231,50 @@ def test_inclusion_exclusion_fails_on_a_perturbed_chain_weight(monkeypatch):
 
 def test_inclusion_exclusion_fails_on_a_wrong_join(monkeypatch):
     # two distinct lines of X_2^{>=1} meet in ell Z^2; pointing their join at
-    # the first line breaks the compatibility check below that line
+    # the first line, in the bitset join table and in the oracle's HNF join,
+    # breaks the compatibility check below that line
     members = lattice.enumerate_X_ge1(2, 3)
     a, b = members[1], members[2]
     assert not lattice.contains(a, b) and not lattice.contains(b, a)
-    real = lattice.join
-    monkeypatch.setattr(lattice, "join",
-                        lambda L1, L2: L1 if (L1, L2) == (a, b) else real(L1, L2))
+    real_table = lattice._join_table
+
+    def wrong_table(masks):
+        table, missing = real_table(masks)
+        table[1][2] = table[2][1] = 1
+        return table, missing
+
+    real_join = oracles.join
+    monkeypatch.setattr(lattice, "_join_table", wrong_table)
+    monkeypatch.setattr(oracles, "join",
+                        lambda L1, L2: L1 if (L1, L2) == (a, b) else real_join(L1, L2))
     cert = _both_routes(2, 3, 2)
     failure = cert["first_failure"]
     assert failure["reason"] == "containment in join without both factors"
     assert failure["pair"] in ([1, 2], [2, 1])
     L = lattice.LatticeClass(3, 2, failure["lattice"])
     assert lattice.contains(a, L) and not lattice.contains(b, L)
+
+
+def test_inclusion_exclusion_fails_on_a_member_bitset_missing_a_vector(monkeypatch):
+    # drop the nonzero vector (1, 1, 0) from the bitset of the plane x3 = 0 of
+    # F_2^3: the line it spans no longer reads as below that plane, so the
+    # chain weights are wrong where the real containments see both
+    real = lattice._subspace_mask
+    plane = lattice.LatticeClass.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 2)
+    dropped = 1 << (1 + 1 * 2)    # base-2 code of (1, 1, 0)
+
+    def fake(basis, ell):
+        mask = real(basis, ell)
+        return mask & ~dropped if basis == plane.basis else mask
+
+    monkeypatch.setattr(lattice, "_subspace_mask", fake)
+    assert real(plane.basis, 2) & dropped
+    cert = lattice.verify_inclusion_exclusion(3, 2, 2)
+    assert cert["pass"] is False and cert["cases_checked"] > 0
+    failure = cert["first_failure"]
+    assert failure["rhs"] == failure["lhs"] + 1 == 2
+    assert failure["lattice"] == ((1, 1, 0), (0, 2, 0), (0, 0, 2))
+    assert lattice.contains(plane, lattice.LatticeClass(2, 3, failure["lattice"]))
 
 
 def test_inclusion_exclusion_fails_on_a_member_without_ell_zn(monkeypatch):
