@@ -18,9 +18,10 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 
 from .fingroup import FiniteGroup
-from .matrices import hnf_rows, is_prime
+from .matrices import BoundExceeded, hnf_rows, is_prime
 
 MAX_DISC = 10 ** 6  # largest |D| = |d_E| m^2 of a ring class group
+MAX_SWEEP = 10 ** 5  # largest bound of the class-number formula sweep
 
 
 def kronecker(d, p):
@@ -440,6 +441,8 @@ class TowerStep:
 
     @staticmethod
     def build(d_E, m, ell):
+        if m < 1:
+            raise ValueError(f"conductor must be >= 1, got {m}")
         if not is_prime(ell):
             raise ValueError(f"ell must be prime, got {ell}")
         if kronecker(d_E, ell) != 1 or m % ell == 0:
@@ -540,9 +543,11 @@ def class_number_formula_sweep(bound):
     fundamental d_E and conductors m with |d_E| m^2 <= bound.
 
     The smallest case is d_E = -3, so a bound below 3 checks nothing and is
-    refused."""
+    refused, as is a bound above MAX_SWEEP, before the sieve."""
     if bound < 3:
         raise ValueError(f"bound must be >= 3, got {bound}")
+    if bound > MAX_SWEEP:
+        raise BoundExceeded(f"sweep bound {bound} exceeds {MAX_SWEEP}")
     table = class_number_table(bound)
     checked = 0
     failures = []

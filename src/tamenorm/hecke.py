@@ -235,16 +235,6 @@ class OrbitReport:
     index_K_V1r: int
     certificate: dict
 
-    def to_json_dict(self):
-        return {
-            "r": self.r,
-            "orbit_size": self.orbit_size,
-            "stabilizer_order": self.stabilizer_order,
-            "nu_image_order": self.nu_image_order,
-            "index_K_V1r": self.index_K_V1r,
-            "certificate": self.certificate,
-        }
-
 
 def _feasible(ctx):
     return ctx.ell ** (ctx.n * ctx.n) <= ORBIT_FEASIBLE_CELLS

@@ -10,14 +10,15 @@ so all measures here are lattice counts.
 The two verification routines check, over every sublattice of Z^n at a given
 depth, the chain-wise inclusion-exclusion identity and the per-invariant
 measure identity that pins down the lambda coefficients of module `qcomb`.
-The members of X_n^{>=1} all contain ell Z^n, so inclusion-exclusion reads
-their containments and joins off their subspaces of F_ell^n, as bitsets
-compared and intersected by AND; the HNF join by duality that they replaced
-is the test oracle `join` in tests/oracles.py.
+The members of X_n^{>=1} are the depth-1 sweep without Z^n; they all contain
+ell Z^n, so inclusion-exclusion reads their containments and joins off their
+subspaces of F_ell^n, as bitsets compared and intersected by AND (the HNF
+join by duality that this replaced is the test oracle `join` in
+tests/oracles.py).  The measure identity and the independent solve for the
+lambda coefficients share one count of the sweep per invariant.
 """
 
-from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import prod
 
 from . import qcomb
@@ -35,26 +36,6 @@ MAX_ELL = 7                 # largest prime enumerate_X_ge1 visits
 MAX_DEPTH = 6               # largest invariant exponent an enumeration visits
 MAX_CANDIDATES = 10 ** 6    # HNF candidates a verification may enumerate
 MAX_JOINS = 10 ** 6         # member pairs inclusion-exclusion may join
-
-
-@dataclass(frozen=True)
-class InvariantVec:
-    """Relative position: weakly decreasing elementary-divisor exponents."""
-
-    exponents: tuple
-
-    def __post_init__(self):
-        e = tuple(self.exponents)
-        if any(e[i] < e[i + 1] for i in range(len(e) - 1)):
-            raise ValueError("exponents must be weakly decreasing")
-        object.__setattr__(self, "exponents", e)
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    @property
-    def is_zero(self):
-        return all(x == 0 for x in self.exponents)
 
 
 class LatticeClass:
@@ -114,13 +95,13 @@ class LatticeClass:
 
 
 def relative_position(L):
-    """inv(L): sorted ell-adic elementary divisor exponents, largest first.
+    """inv(L): the tuple of ell-adic elementary divisor exponents, largest first.
 
     The basis is triangular, so v_ell(det) is the index valuation read off
     its diagonal.
     """
     exps = smith_ell_exponents_k(L.basis, L.ell, L.index_valuation())
-    return InvariantVec(tuple(sorted(exps, reverse=True)))
+    return tuple(sorted(exps, reverse=True))
 
 
 def contains(L_big, L_small):
@@ -155,44 +136,28 @@ def _check_compatible(L1, L2):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _subspace_rrefs(n, d, ell):
-    """All RREF matrices of d-dimensional subspaces of F_ell^n."""
-    if d == 0:
-        yield ()
-        return
-    for pivots in combinations(range(n), d):
-        free_positions = []
-        for i in range(d):
-            for j in range(pivots[i] + 1, n):
-                if j not in pivots:
-                    free_positions.append((i, j))
-        for vals in product(range(ell), repeat=len(free_positions)):
-            M = [[0] * n for _ in range(d)]
-            for i, p in enumerate(pivots):
-                M[i][p] = 1
-            for (i, j), v in zip(free_positions, vals):
-                M[i][j] = v
-            yield tuple(tuple(r) for r in M)
-
-
 def enumerate_X_ge1(n, ell):
-    """All lattices L with ell Z^n <= L < Z^n, via proper subspaces of F_ell^n.
+    """All lattices L with ell Z^n <= L < Z^n: the depth-1 sweep without Z^n.
 
     A lattice of relative position t_m corresponds to the (n-m)-dimensional
-    subspace L / ell Z^n.
+    subspace L / ell Z^n.  The rows of its basis with diagonal 1 are the
+    row-reduced basis of that subspace, and the others are the ell e_i of the
+    remaining columns, so the lattices are listed in the row-reduced order:
+    by dimension, then pivot columns, then free entries row-major.  Z^n, the
+    one subspace of dimension n, sorts last.
     """
     if n > MAX_N or ell > MAX_ELL:
         raise BoundExceeded(f"enumeration bound exceeded: n={n}, ell={ell}")
-    out = []
-    for d in range(n):  # proper subspaces only: Z^n itself is excluded
-        for rref in _subspace_rrefs(n, d, ell):
-            rows = [list(r) for r in rref]
-            for i in range(n):
-                e = [0] * n
-                e[i] = ell
-                rows.append(e)
-            out.append(LatticeClass.from_rows(rows, ell))
-    return out
+    if not is_prime(ell):
+        raise ValueError(f"ell must be prime, got {ell}")
+    bases = sorted(_lattice_bases(n, ell, 1), key=_subspace_order)
+    return [LatticeClass(ell, n, basis) for basis in bases[:-1]]
+
+
+def _subspace_order(basis):
+    # the pivots fix every row ell e_i, so the bases compare as their free entries
+    pivots = tuple(i for i, row in enumerate(basis) if row[i] == 1)
+    return len(pivots), pivots, basis
 
 
 def _row_tails(lower, i, n, q):
@@ -290,22 +255,6 @@ def sublattices_up_to_depth(n, ell, depth):
     whose invariant entries are <= depth, as a sized iterable that builds the
     canonical forms as it is iterated."""
     return _Sublattices(n, ell, depth)
-
-
-def enumerate_sublattices(nu, of):
-    """Number of sublattices of `of` whose position relative to Z^n is nu."""
-    nu = tuple(nu)  # an InvariantVec iterates over its exponents
-    if any(e < 0 for e in nu):
-        raise ValueError("invariant entries must be >= 0 for sublattices of Z^n")
-    depth = max(nu) if nu else 0
-    if depth > MAX_DEPTH:
-        raise BoundExceeded(f"invariant depth {depth} exceeds bound {MAX_DEPTH}")
-    n, ell = of.n, of.ell
-    count = 0
-    for L in sublattices_up_to_depth(n, ell, depth):
-        if tuple(relative_position(L).exponents) == nu and contains(of, L):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +411,7 @@ def verify_measure_identity(n, ell, depth):
     """
     _check_request(n, ell, depth)
     lam = qcomb.lambda_coefficients(qcomb.QCombContext(n, ell))
-    t_lattices = [LatticeClass.minimal_vector_lattice(m, n, ell) for m in range(1, n + 1)]
-
-    total = {}
-    within = [dict() for _ in range(n)]
-    for L in sublattices_up_to_depth(n, ell, depth):
-        nu = tuple(relative_position(L).exponents)
-        total[nu] = total.get(nu, 0) + 1
-        for m in range(n):
-            if contains(t_lattices[m], L):
-                within[m][nu] = within[m].get(nu, 0) + 1
+    total, within = _invariant_counts(n, ell, depth)
 
     cases = 0
     for nu in sorted(total):
@@ -488,29 +428,38 @@ def verify_measure_identity(n, ell, depth):
                  extra={"lambda": lam})
 
 
+def _invariant_counts(n, ell, depth):
+    """One sweep of the L with ell^depth Z^n <= L <= Z^n, counted by invariant:
+    total[nu] of them have inv(L) = nu, and within[m - 1][nu] of those lie in
+    Lambda_{t_m}, for m = 1..n."""
+    t_lattices = [LatticeClass.minimal_vector_lattice(m, n, ell) for m in range(1, n + 1)]
+    total = {}
+    within = [dict() for _ in range(n)]
+    for L in sublattices_up_to_depth(n, ell, depth):
+        nu = relative_position(L)
+        total[nu] = total.get(nu, 0) + 1
+        for m in range(n):
+            if contains(t_lattices[m], L):
+                within[m][nu] = within[m].get(nu, 0) + 1
+    return total, within
+
+
 def solve_lambda_from_counts(n, ell):
     """The unique lambda solving the counting identity at nu = t_1..t_n.
 
     Independent route to the lambda coefficients: the system is triangular
-    because a sublattice of Lambda_{t_m} cannot have invariant t_j for j < m.
+    because a sublattice of Lambda_{t_m} has index >= ell^m, so the stratum
+    nu = t_j only sees m <= j.  Its counts are those of the depth-1 sweep.
     """
-    t_lattices = [LatticeClass.minimal_vector_lattice(m, n, ell) for m in range(1, n + 1)]
-    std = LatticeClass.standard(n, ell)
+    total, within = _invariant_counts(n, ell, 1)
     lam = [0] * n
-    # triangular: a sublattice of Lambda_{t_m} has index >= ell^m, so the
-    # stratum nu = t_j only sees m <= j
     for j in range(1, n + 1):
-        nu = InvariantVec(tuple([1] * j + [0] * (n - j)))
-        lhs = enumerate_sublattices(nu, std)
-        acc = sum(
-            lam[m - 1] * enumerate_sublattices(nu, t_lattices[m - 1])
-            for m in range(1, j)
-        )
-        diag = enumerate_sublattices(nu, t_lattices[j - 1])
-        rem = lhs - acc
-        if rem % diag:
+        nu = (1,) * j + (0,) * (n - j)
+        count = [w.get(nu, 0) for w in within]
+        rem = total[nu] - sum(lam[m] * count[m] for m in range(j - 1))
+        if rem % count[j - 1]:
             raise ArithmeticError("counting system is not integrally solvable")
-        lam[j - 1] = rem // diag
+        lam[j - 1] = rem // count[j - 1]
     return lam
 
 

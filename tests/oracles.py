@@ -20,6 +20,9 @@ construction in tamenorm.classfield.character_group replaced;
 tamenorm.lfactor.tame_group_algebra_check replaced by summing each column of
 the character table once; `ref_chain_count` is the sum over dimension sets
 that the recurrence in tamenorm.qcomb.chain_count replaced.
+`ref_enumerate_X_ge1` builds the members of X_n^{>=1} from the row-reduced
+bases of the proper subspaces of F_ell^n, one `from_rows` each, the route
+that tamenorm.lattice.enumerate_X_ge1 replaced by sorting the depth-1 sweep.
 `ref_hnf_candidates` is every HNF basis up to a diagonal depth, and
 `ref_sublattices_up_to_depth` keeps those whose Smith exponents are within
 the depth: the sweep that
@@ -614,6 +617,37 @@ def smith_ell_exponents(M, ell):
     return smith_ell_exponents_k(M, ell, v_ell(det, ell))
 
 
+def _subspace_rrefs(n, d, ell):
+    """All RREF matrices of d-dimensional subspaces of F_ell^n, by pivot
+    columns, then free entries row-major."""
+    if d == 0:
+        yield ()
+        return
+    for pivots in combinations(range(n), d):
+        free_positions = [(i, j) for i in range(d) for j in range(pivots[i] + 1, n)
+                          if j not in pivots]
+        for vals in product(range(ell), repeat=len(free_positions)):
+            M = [[0] * n for _ in range(d)]
+            for i, p in enumerate(pivots):
+                M[i][p] = 1
+            for (i, j), v in zip(free_positions, vals):
+                M[i][j] = v
+            yield tuple(tuple(r) for r in M)
+
+
+def ref_enumerate_X_ge1(n, ell):
+    """All lattices L with ell Z^n <= L < Z^n, one per proper subspace
+    L / ell Z^n of F_ell^n in RREF order, each spanned by its RREF rows and
+    ell Z^n."""
+    out = []
+    for d in range(n):
+        for rref in _subspace_rrefs(n, d, ell):
+            rows = [list(r) for r in rref]
+            rows += [[ell * (i == j) for j in range(n)] for i in range(n)]
+            out.append(LatticeClass.from_rows(rows, ell))
+    return out
+
+
 def ref_hnf_candidates(n, ell, depth):
     """Every HNF basis with diagonal exponents <= depth, as LatticeClass, in
     product order: by diagonal exponents, then off-diagonal entries row-major."""
@@ -635,7 +669,7 @@ def ref_sublattices_up_to_depth(n, ell, depth):
     """The lattices between ell^depth Z^n and Z^n: the HNF candidates whose
     largest invariant exponent is <= depth, in candidate order."""
     return [L for L in ref_hnf_candidates(n, ell, depth)
-            if max(relative_position(L).exponents) <= depth]
+            if max(relative_position(L)) <= depth]
 
 
 def _ref_chain_weights(members):

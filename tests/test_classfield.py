@@ -7,6 +7,7 @@ from math import gcd, isqrt, prod
 
 import pytest
 
+from tamenorm import classfield
 from tamenorm.classfield import (
     FormClassGroup,
     QuadForm,
@@ -28,6 +29,7 @@ from tamenorm.classfield import (
 )
 from tamenorm.exactnum import ExactScalar
 from tamenorm.fingroup import FiniteGroup
+from tamenorm.matrices import BoundExceeded
 
 from oracles import (
     ideal_product_form,
@@ -407,6 +409,18 @@ def test_class_number_sweep_refuses_empty_range(bound):
     # d_E = -3 is the first case, so a bound below 3 would pass on zero cases
     with pytest.raises(ValueError):
         class_number_formula_sweep(bound)
+
+
+def test_class_number_sweep_refuses_beyond_cap(monkeypatch):
+    # 10^6 ran for about 40 s; it is refused before the sieve is built
+    def unreachable(bound):
+        raise AssertionError("the sieve ran past the cap")
+
+    monkeypatch.setattr(classfield, "class_number_table", unreachable)
+    with pytest.raises(BoundExceeded, match="exceeds 100000"):
+        class_number_formula_sweep(10 ** 5 + 1)
+    with pytest.raises(BoundExceeded):
+        class_number_formula_sweep(10 ** 6)
 
 
 def test_class_number_sweep_smallest_bound():

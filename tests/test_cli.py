@@ -145,6 +145,23 @@ def test_norm_relation_alpha_count_checked_before_any_step(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["tower", "--disc", "-4", "--m", "0", "--ell", "5"],
+    ["tower", "--disc", "-4", "--m", "-5", "--ell", "5"],
+    ["norm-relation", "--n", "1", "--ell", "5", "--disc", "-4", "--conductor", "0",
+     "--alpha", "0:1", "0:1"],
+])
+def test_conductor_below_one_is_named_before_the_split_check(tmp_path, capsys, args):
+    # m = 0 and m = -5 are divisible by ell, but the error is the conductor
+    out = tmp_path / "x.json"
+    code = cli.main([*args, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error: conductor must be >= 1" in err
+    assert "split" not in err
+    assert not out.exists()
+
+
 def test_depth_below_one_is_config_error(tmp_path, capsys):
     # a lattice sweep at depth 0 checks no case, so it is refused, not passed
     out = tmp_path / "x.json"

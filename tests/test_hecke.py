@@ -416,14 +416,6 @@ def test_smith_witness_property():
                 assert prod == want, (X, U, V, r)
 
 
-def test_orbit_report_json():
-    import json
-
-    rep = orbit_stabilizer(1, HeckeContext(2, 2))
-    blob = json.dumps(rep.to_json_dict(), sort_keys=True)
-    assert json.loads(blob)["orbit_size"] == 9
-
-
 def _witnesses(n, ell, m):
     return [(X, *smith_witness_mod(X, ell)) for X in all_matrices_mod(m, n, ell)]
 

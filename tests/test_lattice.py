@@ -10,6 +10,7 @@ from oracles import (
     join,
     ref_contains,
     ref_det,
+    ref_enumerate_X_ge1,
     ref_hnf_candidates,
     ref_join,
     ref_mat_inv,
@@ -22,10 +23,8 @@ from oracles import (
 from tamenorm import lattice
 from tamenorm.lattice import (
     BoundExceeded,
-    InvariantVec,
     LatticeClass,
     contains,
-    enumerate_sublattices,
     enumerate_X_ge1,
     relative_position,
     solve_lambda_from_counts,
@@ -51,14 +50,14 @@ def test_standard_lattice_is_identity():
 
 
 def test_relative_position_trivial():
-    assert relative_position(diag_lattice([1, 0], 3)).exponents == (1, 0)
-    assert relative_position(diag_lattice([1, 1], 3)).exponents == (1, 1)
+    assert relative_position(diag_lattice([1, 0], 3)) == (1, 0)
+    assert relative_position(diag_lattice([1, 1], 3)) == (1, 1)
 
 
 def test_relative_position_derived():
     # [[4, 2], [0, 1]] over ell=2 has Smith exponents (2, 0)
     L = LatticeClass.from_rows([[4, 2], [0, 1]], 2)
-    assert relative_position(L).exponents == (2, 0)
+    assert relative_position(L) == (2, 0)
 
 
 def test_prime_to_ell_structure_is_trivialized():
@@ -174,7 +173,7 @@ def test_join_examples():
     L2 = diag_lattice([1, 0], ell)
     assert L != L2
     assert join(L, L2) == diag_lattice([1, 1], ell)
-    assert relative_position(join(L, L2)).exponents == (1, 1)
+    assert relative_position(join(L, L2)) == (1, 1)
 
 
 def test_join_properties_randomized():
@@ -201,9 +200,9 @@ def test_join_dominance():
             for b in pool[:12]:
                 if a.n != b.n:
                     continue
-                ja = relative_position(join(a, b)).exponents
+                ja = relative_position(join(a, b))
                 for L in (a, b):
-                    inv = relative_position(L).exponents
+                    inv = relative_position(L)
                     # dominance of partial sums (Bruhat order on cocharacters)
                     for t in range(1, len(inv) + 1):
                         assert sum(ja[:t]) >= sum(inv[:t])
@@ -214,7 +213,7 @@ def test_enumerate_X_ge1_counts(ell):
     assert len(enumerate_X_ge1(1, ell)) == 1
     got = enumerate_X_ge1(2, ell)
     assert len(got) == ell + 2
-    invs = sorted(tuple(relative_position(L).exponents) for L in got)
+    invs = sorted(relative_position(L) for L in got)
     assert invs.count((1, 0)) == ell + 1
     assert invs.count((1, 1)) == 1
 
@@ -224,15 +223,29 @@ def test_enumerate_X_ge1_bound():
         enumerate_X_ge1(5, 2)
     with pytest.raises(BoundExceeded):
         enumerate_X_ge1(2, 11)
+    for ell in (0, 1, 4):    # at ell = 1 the normal form would never return
+        with pytest.raises(ValueError, match="ell must be prime"):
+            enumerate_X_ge1(2, ell)
 
 
-def test_enumerate_sublattices_examples():
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_enumerate_X_ge1_matches_subspace_oracle(n, ell):
+    # the depth-1 sweep, sorted, lists the members basis for basis in the
+    # order of the row-reduced subspaces, on which every failing witness of
+    # inclusion-exclusion depends
+    got = [L.basis for L in enumerate_X_ge1(n, ell)]
+    assert got == [L.basis for L in ref_enumerate_X_ge1(n, ell)]
+
+
+def test_invariant_counts_examples():
+    # Z^2 holds ell + 1 lattices of type (1, 0) and one, ell Z^2, of type
+    # (1, 1); of the first, Lambda_{t_1} = diag(ell, 1) holds only itself
     for ell in (2, 3):
-        Z2 = LatticeClass.standard(2, ell)
-        assert enumerate_sublattices(InvariantVec((1, 0)), Z2) == ell + 1
-        assert enumerate_sublattices(InvariantVec((1, 1)), Z2) == 1
-        L1 = diag_lattice([1, 0], ell)
-        assert enumerate_sublattices(InvariantVec((1, 0)), L1) == 1
+        total, within = lattice._invariant_counts(2, ell, 1)
+        assert total == {(0, 0): 1, (1, 0): ell + 1, (1, 1): 1}
+        assert within[0] == {(1, 0): 1, (1, 1): 1}
+        assert within[1] == {(1, 1): 1}
 
 
 def test_chain_structure_matches_worked_example():
@@ -337,25 +350,12 @@ def test_lambda_matches_counting_solution(n, ell):
     assert lambda_coefficients(QCombContext(n, ell)) == solve_lambda_from_counts(n, ell)
 
 
-def test_invariant_vec_validation():
-    with pytest.raises(ValueError):
-        InvariantVec((0, 1))
-    assert not InvariantVec((1, 0)).is_zero
-    assert InvariantVec((0, 0)).is_zero
-
-
-def test_enumerate_sublattices_depth_bound():
-    Z2 = LatticeClass.standard(2, 3)
-    with pytest.raises(BoundExceeded):
-        enumerate_sublattices(InvariantVec((9, 0)), Z2)
-
-
 @pytest.mark.parametrize("n,ell", ORACLE_CELLS)
 def test_relative_position_matches_minor_oracle(n, ell):
     # the sweeps' path: k = v_ell(det) read off the HNF diagonal
     for L in ref_hnf_candidates(n, ell, 2):
         want = tuple(sorted(ref_smith_ell_exponents(L.basis, ell), reverse=True))
-        assert relative_position(L).exponents == want, L
+        assert relative_position(L) == want, L
 
 
 def test_smith_exponents_match_minor_oracle_on_random_matrices():
@@ -420,7 +420,7 @@ def test_sublattices_match_candidate_oracle(n, ell, depth):
     assert len(lattices) == len(want)
     for L in got:
         assert lattice._is_canonical_hnf(L.basis, ell)
-        assert max(relative_position(L).exponents) <= depth
+        assert max(relative_position(L)) <= depth
 
 
 @pytest.mark.parametrize("n,ell,depth", [(1, 2, 3), (2, 3, 2), (3, 2, 2), (3, 5, 2), (4, 2, 1)])
