@@ -1,10 +1,12 @@
 """Ring class groups of imaginary quadratic orders via binary quadratic forms.
 
 Classes of primitive reduced forms of discriminant d_E m^2 realise
-Pic(O_m) = Gal(E[m]/E); composition is implemented twice over: the Gauss
-composition algorithm used by the group law is cross-checked in the tests by
-an independent ideal-multiplication oracle (2 x 2 lattice HNF in the maximal
-order's coordinates), which also powers the norm map between conductors.
+Pic(O_m) = Gal(E[m]/E).  The group law is Gauss composition; the tests
+cross-check it against composition by ideal multiplication, an oracle of
+their own.  The norm map between conductors extends ideals
+(`ideal_extension_form`): the ideal of a form, as a 2 x 2 HNF in the maximal
+order's coordinates (1, omega_E), times the smaller order, read back as a
+reduced form.
 
 Orientation: the prime form at a split prime ell represents Art_0(ell), the
 GEOMETRIC Frobenius; arithmetic Frobenius is its inverse class.  Every

@@ -82,8 +82,8 @@ def emit(out, cert):
 
 def run_coeffs(args):
     ctx = hecke.HeckeContext(args.n, args.ell)
-    table = qcomb.b_coefficients(ctx.qctx)
-    cong = qcomb.congruence_certificates(ctx.qctx)
+    table = qcomb.b_coefficients(ctx)
+    cong = qcomb.congruence_certificates(ctx)
     phi, phi_cert = hecke.assemble_phi(ctx)
     a, a_cert = hecke.a_coefficients(ctx)
     rows = [["r", "b_r", "a_r", "index_K_V1r", "nu_image_order"]]
@@ -269,8 +269,8 @@ def run_norm_relation(args):
     results = {"seed": args.seed}
 
     # (1) coefficients and congruences
-    table = qcomb.b_coefficients(ctx.qctx)
-    cong = qcomb.congruence_certificates(ctx.qctx)
+    table = qcomb.b_coefficients(ctx)
+    cong = qcomb.congruence_certificates(ctx)
     results["step1_coefficients"] = {
         "table": table.to_json_dict(),
         "congruences": cong,

@@ -8,10 +8,11 @@ checked exactly, and the orbit/stabilizer data behind the V_r indices is
 enumerated over F_ell.  Both psi_m and phi are integer combinations of the
 n + 1 fixed cosets (g_r, 1) K, stored as {r: coefficient} maps.
 
-Everything is exact.  The U_m reduction scales its witnesses by ell to
-integer matrices and decides membership in the level subgroup K (integral
-entries, unit determinants) by divisibility; the test suite's oracle decides
-the same membership over Q by valuations.
+Everything is exact.  The U_m reduction decides membership in the level
+subgroup K (integral entries, unit determinants) in block form: the one block
+of the witness element that is not integral by construction is integral iff
+an n x n congruence mod ell holds.  The test suite's oracle decides the same
+membership over Q by valuations, on the whole 2n x 2n element.
 """
 
 from dataclasses import dataclass
@@ -36,20 +37,7 @@ from .matrices import (
 
 ORBIT_FEASIBLE_CELLS = 25000  # ell^(n^2) cap for full matrix-space enumeration
 
-
-@dataclass(frozen=True)
-class HeckeContext:
-    """Half-rank n and prime ell."""
-
-    n: int
-    ell: int
-
-    def __post_init__(self):
-        qcomb.QCombContext(self.n, self.ell)  # validates n, ell and the table size
-
-    @property
-    def qctx(self):
-        return qcomb.QCombContext(self.n, self.ell)
+HeckeContext = qcomb.QCombContext  # half-rank n and prime ell
 
 
 # ---------------------------------------------------------------------------
@@ -73,20 +61,6 @@ def serialize_cosets(coeffs, ctx):
                 for j in range(2 * n)] for i in range(2 * n)]
         terms.append({"coeff": c, "rep": {"gl1": "1", "mat": mat, "twist": "1"}})
     return terms
-
-
-def _um_layout(X, m, ctx):
-    """The U_m summand for X as an integer matrix: [[t_m, X], [0, 1]] with
-    t_m = diag(ell,..,ell,1,..,1) (m entries ell) and X padded to n x n.
-    Its twist is det(t_m)^{-1} = ell^{-m}.
-    """
-    n, ell = ctx.n, ctx.ell
-    mat = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
-    for i in range(m):
-        mat[i][i] = ell
-        for j in range(n):
-            mat[i][n + j] = X[i][j]
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +91,7 @@ def reduce_um_to_psi(m, ctx):
                 "first_failure": {"X": [list(row) for row in X], "rank": r},
             }
             return None, counts, cert
-    expected = {r: qcomb.rank_count(r, m, ctx.qctx) for r in range(m + 1)}
+    expected = {r: qcomb.rank_count(r, m, ctx) for r in range(m + 1)}
     ok = counts == expected
     psi = dict(counts)
     cert = {
@@ -134,48 +108,28 @@ def reduce_um_to_psi(m, ctx):
 def _verify_reduction(X, U, V, r, m, ctx):
     """Exact witness check that g_X lies in H (g_r, 1) K.
 
-    A = diag(U, 1) satisfies t_m A t_m^{-1} = A (block diagonal), B^{-1} is
-    the integer lift of V, and the product k = (g_r,1)^{-1} h^{-1} g_X with
-    h^{-1} = diag(A t_m^{-1}, B) must land in K.  ell (g_r,1)^{-1} and
-    ell h^{-1} are integer matrices, so k lies in GL_2n(Z_ell) iff ell^2
-    divides every entry of the integer matrix ell^2 k and det k is an
-    ell-unit.  As g_r is unipotent, det h^{-1} = det A ell^{-m} det B and
-    det g_X = ell^m, det k = det A det B: a unit iff det A and det B are.
-    The twist of k is twist(g_X) ell^m det B / det A = det B / det A, so it
-    is a unit with them.
+    g_X = [[t_m, X~], [0, 1]] with X~ the m x n matrix X padded by zero rows
+    to n x n; A = diag(U, 1) and B, the integer lift of V^{-1} mod ell, give
+    h^{-1} = diag(A t_m^{-1}, B).  As t_m scales exactly the first m rows by
+    ell, t_m^{-1} X~ = X~ / ell, so k = (g_r,1)^{-1} h^{-1} g_X is in blocks
+
+        k = [[A, (A X~ - X_r B) / ell], [0, B]].
+
+    A and B are integral, so k lies in GL_2n(Z_ell) iff A X~ = X_r B mod ell
+    and det k = det A det B = det U det B is an ell-unit.  The first m rows of
+    A X~ are U X and the others are zero, so the congruence is checked on all
+    n rows: a claimed r > m needs rows m..r-1 of B to vanish mod ell.  The
+    twist of k is twist(g_X) ell^m det B / det A = det B / det A, a unit with
+    them.
     """
     n, ell = ctx.n, ctx.ell
-    size = 2 * n
-    # n x n integer lifts
-    A = [[U[i][j] if (i < m and j < m) else int(i == j) for j in range(n)] for i in range(n)]
-    B = inv_mod_matrix_q(V, ell, 1)  # B with B^{-1} = V mod ell
-    # ell h^{-1} = diag(ell A t_m^{-1}, ell B); t_m^{-1} scales columns 1..m by 1/ell
-    h_inv = [[0] * size for _ in range(size)]
+    B = inv_mod_matrix_q(V, ell, 1)
+    zero = (0,) * n
     for i in range(n):
-        for j in range(n):
-            h_inv[i][j] = A[i][j] if j < m else ell * A[i][j]
-            h_inv[n + i][n + j] = ell * B[i][j]
-    # ell (g_r, 1)^{-1} = [[ell, -X_r], [0, ell]]
-    g_r_inv = [[ell * (i == j) for j in range(size)] for i in range(size)]
-    for i in range(r):
-        g_r_inv[i][n + i] = -1
-    k_mat = _mul_sparse(g_r_inv, _mul_sparse(h_inv, _um_layout(X, m, ctx)))
-    ell2 = ell * ell
-    if any(x % ell2 for row in k_mat for x in row):
-        return False
-    return mat_det(A) % ell != 0 and mat_det(B) % ell != 0
-
-
-def _mul_sparse(A, B):
-    """Integer product A B that skips the zero entries of A."""
-    out = []
-    for row in A:
-        acc = [0] * len(B[0])
-        for a, brow in zip(row, B):
-            if a:
-                acc = [x + a * y for x, y in zip(acc, brow)]
-        out.append(acc)
-    return out
+        ux = [sum(u * x for u, x in zip(U[i], col)) for col in zip(*X)] if i < m else zero
+        if any((a - b) % ell for a, b in zip(ux, B[i] if i < r else zero)):
+            return False
+    return mat_det(U) % ell != 0 and mat_det(B) % ell != 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +161,7 @@ def assemble_phi(ctx):
         = (ell - 1) b_r.
     """
     n, ell = ctx.n, ctx.ell
-    table = qcomb.b_coefficients(ctx.qctx)
+    table = qcomb.b_coefficients(ctx)
     lam, b = table.lam, table.b
     rows = phi_identity_rows(ctx, table, b)
     ok_all = table.certificates["all_b_integral"] and all(row["pass"] for row in rows)
@@ -270,7 +224,7 @@ def orbit_stabilizer(r, ctx):
 
     nu_image = _nu_image(r, n, ell)
     nu_order = len(nu_image)
-    formula = qcomb.rank_count(r, n, ctx.qctx)
+    formula = qcomb.rank_count(r, n, ctx)
     cert = {
         "identity": "orbit_stabilizer", "r": r, "n": n, "ell": ell,
         "orbit_equals_rank_stratum": orbit_matches_rank_stratum,
@@ -415,22 +369,23 @@ def _nu_image(r, n, ell):
     and B_12 = 0, so det A = det A_11 det A_22 and det B = det A_11 det B_22:
     nu = det(A_22)^{-1} det(B_22) with A_22, B_22 free in GL_{n-r}(F_ell).
     The determinant maps GL_k(F_ell) onto F_ell^* for k >= 1, so the image is
-    all of F_ell^* for r < n and {1} at r = n.
+    all of F_ell^* for r < n and {1} at r = n.  It is returned as a range of
+    residues, whose order is read without listing ell - 1 of them.
     """
-    return set(range(1, ell)) if r < n else {1}
+    return range(1, ell if r < n else 2)
 
 
 def a_coefficients(ctx):
     """a_r = (ell-1) b_r / [K_H : V_{1,r}] with the computed indices.
 
     Where the orbits are feasible the indices come from orbit_stabilizer
-    ("enumeration"); beyond that from c_{r,n} times the nu-image order (ell-1
-    for r < n, 1 at r = n; "closed_form").  The r = n mismatch with the
+    ("enumeration"); beyond that from c_{r,n} times the order of the closed-form
+    nu-image ("closed_form").  The r = n mismatch with the
     blanket index claim [V_r : V_{1,r}] = ell - 1 is reported as a documented
     discrepancy, never silently corrected.
     """
     n, ell = ctx.n, ctx.ell
-    table = qcomb.b_coefficients(ctx.qctx)
+    table = qcomb.b_coefficients(ctx)
     b = table.b
     lam = table.lam
     enumerate_orbits = _feasible(ctx)
@@ -444,8 +399,8 @@ def a_coefficients(ctx):
             nu_order = rep.nu_image_order
             ok = ok and rep.certificate["pass"]
         else:
-            nu_order = ell - 1 if r < n else 1
-            index = qcomb.rank_count(r, n, ctx.qctx) * nu_order
+            nu_order = len(_nu_image(r, n, ell))
+            index = qcomb.rank_count(r, n, ctx) * nu_order
         num = (ell - 1) * b[r]
         integral = num % index == 0
         a_r = num // index if integral else Fraction(num, index)

@@ -23,7 +23,9 @@ class BoundExceeded(ValueError):
 # valuations
 
 def v_ell(x, ell):
-    """ell-adic valuation of a nonzero int or Fraction."""
+    """ell-adic valuation of a nonzero int or Fraction; ell >= 2."""
+    if ell < 2:
+        raise ValueError(f"valuation needs ell >= 2, got {ell}")
     if isinstance(x, Fraction):
         return v_ell(x.numerator, ell) - v_ell(x.denominator, ell)
     if x == 0:

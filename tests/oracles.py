@@ -3,12 +3,15 @@
 Everything here enumerates naively over F_q objects (q prime); none of it
 touches the closed forms or recurrences under test.  `RefScalar` is the
 original, unoptimised ExactScalar arithmetic, the slow reference for the
-fast kernel in tamenorm.exactnum; `ref_smith_ell_exponents`, `ref_contains`,
-`ref_join` and `ref_verify_reduction` are the minor-enumeration and
-`Fraction` paths that the integer ell-adic kernels in tamenorm.matrices,
-tamenorm.lattice and tamenorm.hecke replaced.  `RefElt` is the Fraction
+fast kernel in tamenorm.exactnum; `ref_smith_ell_exponents`, `ref_contains`
+and `ref_join` are the minor-enumeration and `Fraction` paths that the
+integer ell-adic kernels in tamenorm.matrices and tamenorm.lattice replaced.
+`ref_verify_reduction` multiplies out the whole 2n x 2n witness element
+k = (g_r,1)^{-1} h^{-1} g_X over Q, where tamenorm.hecke checks one n x n
+block congruence mod ell.  `RefElt` is the Fraction
 coset element of GL_1 x GL_2n x GL_1 that tamenorm.hecke replaced by
-{r: coefficient} maps: K-membership by valuations, the U_m summands, and the
+{r: coefficient} maps: K-membership by valuations, the U_m summands g_X
+(built here by `ref_um_summand`), and the
 frozen serialization of the g_r behind the "phi" certificate bytes;
 `ref_nu_image` enumerates the stabilizer of X_r by brute force.  `RefGroup`
 is the finite group on concrete tuple elements that the index-based
@@ -823,9 +826,15 @@ def ref_g_r(r, ctx):
 
 
 def ref_um_summand(X, m, ctx):
-    """(1, [[t_m, X], [0, 1]], det^{-1}) for X in M_{m x n}(F_ell), built from
-    `hecke._um_layout` so that a perturbed layout reaches the oracle too."""
-    return ref_elt(1, hecke._um_layout(X, m, ctx), Fraction(ctx.ell) ** -m, ctx.ell)
+    """(1, [[t_m, X], [0, 1]], det(t_m)^{-1}) for X in M_{m x n}(F_ell), with
+    t_m = diag(ell,..,ell,1,..,1) (m entries ell) and X padded by zero rows
+    to n x n: the oracle's own g_X."""
+    n, ell = ctx.n, ctx.ell
+    mat = [[int(i == j) for j in range(2 * n)] for i in range(2 * n)]
+    for i in range(m):
+        mat[i][i] = ell
+        mat[i][n:] = X[i]
+    return ref_elt(1, mat, Fraction(ell) ** -m, ell)
 
 
 def ref_um_cosets(m, ctx):

@@ -87,7 +87,7 @@ def test_criterion_06_phi_and_a_integrality():
             ctx = hecke.HeckeContext(n, ell)
             _, phi_cert = hecke.assemble_phi(ctx)
             a, a_cert = hecke.a_coefficients(ctx)
-            lam = qcomb.lambda_coefficients(ctx.qctx)
+            lam = qcomb.lambda_coefficients(ctx)
             ok = ok and phi_cert["pass"] and a_cert["pass"]
             ok = ok and all(not isinstance(x, Fraction) for x in a)
             ok = ok and a[n] == -lam[n - 1]
@@ -107,7 +107,7 @@ def test_criterion_07_orbit_stabilizer():
             for r in range(n + 1):
                 rep = hecke.orbit_stabilizer(r, ctx)
                 ok = ok and rep.certificate["pass"]
-                ok = ok and rep.orbit_size == qcomb.rank_count(r, n, ctx.qctx)
+                ok = ok and rep.orbit_size == qcomb.rank_count(r, n, ctx)
     report(7, "orbit of X_r has size c_{r,n} (n <= 3, ell in {2,3})", ok, t0, 120)
 
 

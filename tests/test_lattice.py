@@ -32,7 +32,7 @@ from tamenorm.lattice import (
     verify_inclusion_exclusion,
     verify_measure_identity,
 )
-from tamenorm.matrices import hnf_rows, mat_det
+from tamenorm.matrices import ell_normalize, hnf_rows, mat_det
 from tamenorm.qcomb import QCombContext, lambda_coefficients, q_binomial
 
 ORACLE_CELLS = [(n, ell) for n in (1, 2, 3) for ell in (2, 3)] + [(2, 5)]
@@ -226,6 +226,18 @@ def test_enumerate_X_ge1_bound():
     for ell in (0, 1, 4):    # at ell = 1 the normal form would never return
         with pytest.raises(ValueError, match="ell must be prime"):
             enumerate_X_ge1(2, ell)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ell_normalize([[1, 0], [0, 1]], 1),
+    lambda: LatticeClass.from_rows([[1, 0], [0, 1]], 1),
+    lambda: LatticeClass.from_diag_exponents([1, 0], 1),
+    lambda: LatticeClass.minimal_vector_lattice(1, 2, 1),
+], ids=["ell_normalize", "from_rows", "from_diag_exponents", "minimal_vector_lattice"])
+def test_normal_form_refuses_ell_one(build):
+    # the valuation v_ell(det, 1) would divide by 1 forever
+    with pytest.raises(ValueError, match="ell >= 2"):
+        build()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
