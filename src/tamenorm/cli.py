@@ -64,7 +64,7 @@ def emit(out, cert):
     blob = json.dumps(_jsonable(cert), sort_keys=True, indent=2)
     if out:
         with open(out, "w") as fh:
-            fh.write(blob + "\n")
+            print(blob, file=fh)  # no second copy of a multi-MB certificate
         rows = cert["results"].get("csv_rows")
         if rows:
             path = out + ".csv" if not out.endswith(".json") else out[:-5] + ".csv"
@@ -73,7 +73,7 @@ def emit(out, cert):
                 writer.writerow(rows[0])
                 writer.writerows(rows[1:])
     else:
-        sys.stdout.write(blob + "\n")
+        print(blob)
     return 0 if cert["pass"] else 1
 
 

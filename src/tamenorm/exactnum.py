@@ -18,7 +18,7 @@ from operator import index
 
 from .matrices import is_prime
 
-MAX_ORDER = 1000  # largest cyclotomic order k; the tables hold k * phi(k) entries
+MAX_ORDER = 1000  # largest cyclotomic order k; its table holds max(k, 2 phi(k) - 1) rows
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -57,37 +57,26 @@ def cyclotomic_poly(k):
 
 @lru_cache(maxsize=None)
 def _ring_tables(k):
-    """Reduction data for Q[z]/Phi_k: degree d and z^e mod Phi_k for e < max(k, 2d-1)."""
+    """The one table of Q[z]/Phi_k: the degree d and, for each e < max(k, 2d - 1),
+    the nonzero (index, value) pairs of z^e mod Phi_k.
+
+    Rows below k serve roots of unity, lifts, conjugation and products by a
+    monomial; rows d .. 2d - 2 reduce the convolution of two residues.
+    """
     if k > MAX_ORDER:
         raise ValueError(f"root of unity order {k} exceeds the bound {MAX_ORDER}")
     phi = cyclotomic_poly(k)
     d = len(phi) - 1
-    n_pows = max(k, 2 * d - 1)
-    pows = []
+    rows = []
     cur = [0] * d
     cur[0] = 1
-    for _ in range(n_pows):
-        pows.append(tuple(cur))
-        nxt = [0] * (d + 1)
-        for i, c in enumerate(cur):
-            nxt[i + 1] = c
-        if nxt[d]:
-            top = nxt[d]
-            for i in range(d):
-                nxt[i] -= top * phi[i]
-        cur = nxt[:d]
-    return d, tuple(pows)
-
-
-@lru_cache(maxsize=None)
-def _lift_table(k, K):
-    """Images of z_k^j (j < deg Phi_k) inside Q[z]/Phi_K via z_k = z_K^(K/k),
-    as the nonzero (index, value) pairs of each image."""
-    assert K % k == 0
-    d_small, _ = _ring_tables(k)
-    d_big, pows = _ring_tables(K)
-    step = K // k
-    return d_big, _nonzero_rows(pows[(j * step) % K] for j in range(d_small))
+    for _ in range(max(k, 2 * d - 1)):
+        rows.append(tuple((t, v) for t, v in enumerate(cur) if v))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [x - top * c for x, c in zip(cur, phi)]
+    return d, tuple(rows)
 
 
 def _normalize(num, den):
@@ -118,25 +107,6 @@ def _make(ell, k, num, den=1):
     x.num = num
     x.den = den
     return x
-
-
-def _nonzero_rows(rows):
-    """``rows`` with each vector replaced by its nonzero (index, value) pairs."""
-    return tuple(tuple((t, v) for t, v in enumerate(row) if v) for row in rows)
-
-
-@lru_cache(maxsize=None)
-def _shift_rows(K, e):
-    """Nonzero entries of z^(t + e) mod Phi_K for t < deg Phi_K (products by z^e)."""
-    d, pows = _ring_tables(K)
-    return _nonzero_rows(pows[(t + e) % K] for t in range(d))
-
-
-@lru_cache(maxsize=None)
-def _reduction(k):
-    """Nonzero entries of z^e mod Phi_k for d <= e < 2d - 1 (products of two residues)."""
-    d, pows = _ring_tables(k)
-    return _nonzero_rows(pows[d:2 * d - 1])
 
 
 class ExactScalar:
@@ -205,9 +175,11 @@ class ExactScalar:
         """The root of unity zeta_k^e."""
         if k < 1:
             raise ValueError(f"root of unity order must be >= 1, got {k}")
-        d, pows = _ring_tables(k)
-        vec = pows[e % k]
-        return ExactScalar(ell, k, tuple(vec) + (0,) * d)
+        d, rows = _ring_tables(k)
+        num = [0] * (2 * d)
+        for t, v in rows[e % k]:
+            num[t] = v
+        return ExactScalar(ell, k, num)
 
     # -- structure ----------------------------------------------------------
 
@@ -221,18 +193,17 @@ class ExactScalar:
             return self
         if K % self.k != 0:
             raise ValueError("can only lift to a multiple order")
-        d_big, table = _lift_table(self.k, K)
+        d_big, rows = _ring_tables(K)
         num = self.num
         d = len(num) // 2
+        step = K // self.k  # z_k = z_K^step
         out0 = [0] * d_big
         out1 = [0] * d_big
-        for j, row in enumerate(table):
+        for j in range(d):
             c0, c1 = num[j], num[d + j]
-            if c0:
-                for t, v in row:
+            if c0 or c1:
+                for t, v in rows[j * step]:
                     out0[t] += c0 * v
-            if c1:
-                for t, v in row:
                     out1[t] += c1 * v
         return _make(self.ell, K, tuple(out0 + out1), self.den)
 
@@ -325,10 +296,11 @@ class ExactScalar:
                     conv1[i + j] += x0 * y1 + x1 * y0
         out0 = conv0[:d]
         out1 = conv1[:d]
-        for e, row in enumerate(_reduction(k), d):
+        rows = _ring_tables(k)[1]
+        for e in range(d, 2 * d - 1):
             c0, c1 = conv0[e], conv1[e]
             if c0 or c1:
-                for t, v in row:
+                for t, v in rows[e]:
                     out0[t] += c0 * v
                     out1[t] += c1 * v
         return _make(ell, k, tuple(out0 + out1), a.den * b.den)
@@ -386,17 +358,16 @@ class ExactScalar:
     def conj(self):
         """The cyclotomic conjugation z -> z^(-1); fixes s.  An involution."""
         k = self.k
-        d, pows = _ring_tables(k)
+        d, rows = _ring_tables(k)
         num = self.num
         out0 = [0] * d
         out1 = [0] * d
         for j in range(d):
             c0, c1 = num[j], num[d + j]
             if c0 or c1:
-                for t, v in enumerate(pows[(k - j) % k]):
-                    if v:
-                        out0[t] += c0 * v
-                        out1[t] += c1 * v
+                for t, v in rows[(k - j) % k]:
+                    out0[t] += c0 * v
+                    out1[t] += c1 * v
         return _make(self.ell, k, tuple(out0 + out1), self.den)
 
     # -- predicates / conversions -------------------------------------------
@@ -492,7 +463,8 @@ def _mul_small(a, b):
 
 def _mul_monomial(a, m):
     """a * m where m = c s^i z^j / den has one nonzero coefficient and its
-    order k divides a's order K: one pass over the table of z_K^(t + j K/k)."""
+    order k divides a's order K: z_k^j = z_K^e with e = j K/k, and each term
+    z_K^t of a moves to row (t + e) mod K of the order-K table."""
     num = m.num
     d = len(num) // 2
     c = sum(num)
@@ -503,12 +475,14 @@ def _mul_monomial(a, m):
         x0, x1 = [a.ell * c * y for y in an[D:]], [c * y for y in an[:D]]
     else:
         x0, x1 = [c * y for y in an[:D]], [c * y for y in an[D:]]
+    e = j * (K // m.k)
+    rows = _ring_tables(K)[1]
     out0 = [0] * D
     out1 = [0] * D
-    for t, row in enumerate(_shift_rows(K, j * (K // m.k))):
+    for t in range(D):
         c0, c1 = x0[t], x1[t]
         if c0 or c1:
-            for u, v in row:
+            for u, v in rows[(t + e) % K]:
                 out0[u] += c0 * v
                 out1[u] += c1 * v
     return _make(a.ell, K, tuple(out0 + out1), a.den * m.den)

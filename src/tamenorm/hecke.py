@@ -116,20 +116,23 @@ def _verify_reduction(X, U, V, r, m, ctx):
         k = [[A, (A X~ - X_r B) / ell], [0, B]].
 
     A and B are integral, so k lies in GL_2n(Z_ell) iff A X~ = X_r B mod ell
-    and det k = det A det B = det U det B is an ell-unit.  The first m rows of
-    A X~ are U X and the others are zero, so the congruence is checked on all
-    n rows: a claimed r > m needs rows m..r-1 of B to vanish mod ell.  The
-    twist of k is twist(g_X) ell^m det B / det A = det B / det A, a unit with
-    them.
+    and det k = det A det B = det U det B is an ell-unit.  det B det V = 1 mod
+    ell, so det B is a unit iff V is invertible mod ell; a singular V has no B
+    and is rejected.  The first m rows of A X~ are U X and the others are
+    zero, so the congruence is checked on all n rows: a claimed r > m needs
+    rows m..r-1 of B to vanish mod ell.  The twist of k is
+    twist(g_X) ell^m det B / det A = det B / det A, a unit with them.
     """
     n, ell = ctx.n, ctx.ell
+    if mat_det(U) % ell == 0 or mat_det(V) % ell == 0:
+        return False
     B = inv_mod_matrix_q(V, ell, 1)
     zero = (0,) * n
     for i in range(n):
         ux = [sum(u * x for u, x in zip(U[i], col)) for col in zip(*X)] if i < m else zero
         if any((a - b) % ell for a, b in zip(ux, B[i] if i < r else zero)):
             return False
-    return mat_det(U) % ell != 0 and mat_det(B) % ell != 0
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -752,6 +752,8 @@ def ref_verify_inclusion_exclusion(n, ell, depth):
 def ref_verify_reduction(X, U, V, r, m, ctx):
     """The U_m witness check over Q: k = (g_r,1)^{-1} h^{-1} g_X lies in K."""
     ell = ctx.ell
+    if ref_det(V) % ell == 0:  # no B = V^{-1} mod ell
+        return False
     k_mat, A, B, gX = ref_reduction_element(X, U, V, r, m, ctx)
     if not (ref_ell_integral(k_mat, ell) and ref_unit_det(k_mat, ell)):
         return False

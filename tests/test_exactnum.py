@@ -430,6 +430,57 @@ def test_multi_term_roots_take_the_generic_product(monomial_calls):
     assert generic > 0
 
 
+@pytest.mark.parametrize("k", [5, 7, 97])
+def test_prime_orders_match_reference(k, monomial_calls):
+    # at a prime order 2 deg Phi_k - 1 > k, so roots of unity, conjugation,
+    # lifts to 3k and both products read the table rows at and above k
+    rng = random.Random(2100 + k)
+    ell = rng.choice((2, 3, 5, 7))
+    d, K = k - 1, 3 * k
+    assert K <= MAX_ORDER
+    rz = RefScalar(ell, k, [0, 1] + [0] * (2 * d - 2))
+    a, ra = _pair(rng, ell, k)
+    num = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(2 * d)]
+    dense, rdense = ExactScalar(ell, k, num, 7), RefScalar(ell, k, num, 7)
+    b, rb = _pair(rng, ell, K)
+    rpow = RefScalar.from_rational(1, ell, k)
+    for e in range(k):
+        z = ExactScalar.zeta(ell, k, e)
+        _same(z, rpow)
+        _same(ExactScalar.zeta(ell, k, e + k), rpow)
+        _same(ExactScalar.zeta(ell, k, -e), rpow.conj())
+        _same(z.conj(), rpow.conj())
+        before = len(monomial_calls)
+        _same(dense * z, rdense * rpow)  # the monomial path for e < d
+        assert len(monomial_calls) - before == (e < d)
+        if e % max(1, k // 8) == 0:
+            _same(z.lift(K), rpow.lift(K))
+            _same(b * z, rb * rpow)
+        rpow = rpow * rz
+    for x, rx in ((a, ra), (dense, rdense)):
+        _same(x.conj(), rx.conj())
+        _same(x.lift(K), rx.lift(K))
+        _same(x * dense, rx * rdense)
+        _same(x * b, rx * rb)
+
+
+def test_products_by_every_root_build_one_table_per_order():
+    # step 5 of the norm relation at h = 311 multiplies by every zeta_311^e:
+    # the cached tables must not grow with the number of exponents
+    def cached():
+        return sum(f.cache_info().currsize for f in vars(exactnum).values()
+                   if hasattr(f, "cache_info"))
+
+    before = cached()
+    k = 311
+    num = [0] * (2 * (k - 1))
+    num[0], num[5], num[k + 6] = 3, -2, 1  # 3 - 2 z^5 + s z^7
+    a = ExactScalar(2, k, num)
+    for e in range(k):
+        a * ExactScalar.zeta(2, k, e)
+    assert cached() - before <= 8
+
+
 def test_monomial_product_agrees_with_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")

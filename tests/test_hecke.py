@@ -471,12 +471,15 @@ def test_coset_witness_determinant_identity(n, ell, m):
 
 @pytest.mark.parametrize("n,ell,m", COSET_CELLS)
 def test_coset_check_rejects_singular_witness(n, ell, m):
-    # with U = 0 the element k is still integral at X = 0, but det A = 0
+    # with U = 0 the element k is still integral at X = 0, but det A = 0;
+    # with V = 0 there is no B = V^{-1} mod ell at all
     ctx = HeckeContext(n, ell)
     U0 = [[0] * m for _ in range(m)]
-    for X, _U, V, r in _witnesses(n, ell, m):
-        assert not hecke._verify_reduction(X, U0, V, r, m, ctx), X
-        assert not ref_verify_reduction(X, U0, V, r, m, ctx), X
+    V0 = [[0] * n for _ in range(n)]
+    for X, U, V, r in _witnesses(n, ell, m):
+        for U1, V1 in ((U0, V), (U, V0)):
+            assert not hecke._verify_reduction(X, U1, V1, r, m, ctx), (X, U1, V1)
+            assert not ref_verify_reduction(X, U1, V1, r, m, ctx), (X, U1, V1)
 
 
 @pytest.mark.parametrize("n,ell,m", COSET_CELLS)
