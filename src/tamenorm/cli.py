@@ -2,13 +2,15 @@
 
 Subcommands: coeffs, verify-incl-excl, mackey-test, lfactor, classgroup,
 tower, norm-relation.  Every command emits one JSON certificate (schema tag
-"trc-1") with every numeric value exact; coefficient tables also emit CSV.
+"trc-1") with every numeric value exact; with --out, coefficient tables
+also write CSV.
 Exit codes: 0 all checks pass, 1 any check fails, 2 configuration error.
 Randomised property sampling is seeded and the seed is embedded in the
 output, so identical configurations produce byte-identical certificates.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import random
@@ -22,7 +24,6 @@ from .lfactor import CharacterValue, SatakeParams
 
 SCHEMA = "trc-1"
 MAX_SAMPLES = 1000  # largest mackey-test --samples
-_PLAIN = {int, str, bool, type(None)}
 
 
 def _certificate(command, inputs, results, stages):
@@ -42,38 +43,27 @@ def _certificate(command, inputs, results, stages):
     }
 
 
-def _jsonable(x):
-    """`x` with exact numbers as strings and every dict key a str (for
-    `sort_keys`); a sequence of plain values goes through uncopied."""
+def _exact(x):
+    """The JSON text of an exact number the encoder does not know."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, ExactScalar):
-        return x.serialize()
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        if _PLAIN.issuperset(map(type, x)):
-            return x
-        return [_jsonable(v) for v in x]
-    return x
+    raise TypeError(f"{type(x).__name__} is not a trc-1 value")
 
 
 def emit(out, cert):
-    """Write the JSON certificate (and CSV tables, if any) to `out`, or to
-    stdout if `out` is empty, and return the exit code."""
-    blob = json.dumps(_jsonable(cert), sort_keys=True, indent=2)
-    if out:
-        with open(out, "w") as fh:
-            print(blob, file=fh)  # no second copy of a multi-MB certificate
-        rows = cert["results"].get("csv_rows")
-        if rows:
-            path = out + ".csv" if not out.endswith(".json") else out[:-5] + ".csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(rows[0])
-                writer.writerows(rows[1:])
-    else:
-        print(blob)
+    """Stream the JSON certificate to `out`, or to stdout if `out` is empty,
+    in one walk that makes no copy of it and no whole JSON string; with
+    `out`, also write the CSV table, if any.  Return the exit code."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(cert, fh, sort_keys=True, indent=2, default=_exact)
+        fh.write("\n")
+    rows = cert["results"].get("csv_rows")
+    if out and rows:
+        path = out + ".csv" if not out.endswith(".json") else out[:-5] + ".csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(rows[0])
+            writer.writerows(rows[1:])
     return 0 if cert["pass"] else 1
 
 
@@ -326,7 +316,7 @@ def _inputs(args, *names):
     out = {"seed": args.seed}
     for nm in names:
         out[nm] = getattr(args, nm)
-    return _jsonable(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

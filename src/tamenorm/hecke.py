@@ -412,7 +412,7 @@ def a_coefficients(ctx):
             "r": r, "index_K_V1r": index, "nu_image_order": nu_order,
             "uniform_nu_order_claim": ell - 1,
             "documented_discrepancy": nu_order != ell - 1,
-            "a": a_r if integral else str(a_r),
+            "a": a_r,
             "integral": integral,
         })
         ok = ok and integral
@@ -421,7 +421,7 @@ def a_coefficients(ctx):
         "identity": "a_coefficients", "n": n, "ell": ell,
         "index_source": "enumeration" if enumerate_orbits else "closed_form",
         "rows": rows,
-        "a": [x if not isinstance(x, Fraction) else str(x) for x in a],
+        "a": a,
         "boundary_a_n_equals_minus_lambda_n": boundary,
         "pass": ok and boundary,
         "first_failure": None if ok and boundary else {"rows": rows},

@@ -117,18 +117,13 @@ class CoefficientTable:
     certificates: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        def enc(x):
-            if isinstance(x, Fraction):
-                return f"{x.numerator}/{x.denominator}"
-            return x
-
         return {
             "n": self.n,
             "ell": self.ell,
             "lambda": list(self.lam),
             "c": [list(row) for row in self.c],
             "d": [list(row) for row in self.d],
-            "b": [enc(x) for x in self.b],
+            "b": list(self.b),
             "b_prime": list(self.b_prime),
             "certificates": self.certificates,
         }
@@ -161,10 +156,10 @@ def b_coefficients(ctx):
         bp = sum(ell ** (n * (n - m)) * lam[m - 1] * c[m][r] for m in range(r, n + 1))
         b_prime.append(bp)
         ok2 = bp % unit == 0
-        cert_ii[r] = ok2
+        cert_ii[str(r)] = ok2
         b.append(-(bp // unit) if ok2 else -Fraction(bp, unit))
         mod = unit * c[n][r]
-        cert_iii[r] = {
+        cert_iii[str(r)] = {
             "claim_divisor": mod,
             "b_prime": bp,
             "pass": bp % mod == 0,
@@ -197,7 +192,7 @@ def congruence_certificates(ctx):
     for m in range(1, n + 1):
         target = comb(n, m) * (-1) ** (m + 1)
         ok = (lam[m - 1] - target) % unit == 0
-        per_m[m] = {"lambda": lam[m - 1], "target": target, "pass": ok}
+        per_m[str(m)] = {"lambda": lam[m - 1], "target": target, "pass": ok}
     total_ok = (sum(lam) - 1) % unit == 0
     return {
         "identity": "lambda_congruences_mod_ell_minus_1",

@@ -3,6 +3,7 @@ import json
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -336,10 +337,13 @@ def test_norm_relation_certificate_digest_at_311_classes(tmp_path):
     assert digest == "20b980cd900d5f8db5ea45df68e8742991bab036527faa0919444262d9298553"
 
 
-# sha256 of the coeffs certificates whose V_r indices come from orbit enumeration
+# sha256 of coeffs certificates: the V_r indices of (3, 3) and (2, 7) come from
+# orbit enumeration, those of (10, 2) from the closed form; n = 10 also pins the
+# string order of the per-r and per-m keys ("1", "10", "2", ...)
 COEFFS_DIGESTS = {
     (3, 3): "6b7c33ef8ccd6eaa20ec9c79db90a2159e64cfc17960de2eeef481c4044eb21d",
     (2, 7): "7581e36d334e9e37dbb7d5e2cbfeb3e1f91758a93c039d2006589f6bd9569b4e",
+    (10, 2): "e3826026e1cd9355ce2113032a16e0e961940d448e9481de178848efb43f317f",
 }
 
 
@@ -486,6 +490,35 @@ def test_readme_golden_certificate(tmp_path, name):
     out = tmp_path / "cert.json"
     assert cli.main([*README_COMMANDS[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"readme_{name}.json").read_bytes()
+
+
+def test_stdout_certificate_equals_the_out_file(tmp_path, monkeypatch):
+    # without --out the --out bytes go to stdout, and no CSV is written
+    # (the child runs in an empty directory)
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).parents[1]))
+    monkeypatch.chdir(tmp_path)
+    proc = run_cli(README_COMMANDS["coeffs"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "readme_coeffs.json").read_text()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_emit_streams_the_certificate(tmp_path):
+    # emit writes the certificate as it walks it: no copy of the certificate
+    # and no whole JSON string, so its peak is far below the file size
+    cert = cli.DRIVERS["classgroup"](cli.build_parser().parse_args(
+        ["classgroup", "--disc", "-100007"]))
+    out = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert cli.emit(str(out), cert) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 1_000_000
+    assert peak < size / 10, (peak, size)
 
 
 def test_norm_relation_mid_size_golden_certificate(tmp_path):

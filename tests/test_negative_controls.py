@@ -5,6 +5,7 @@ a certificate that still passed would mean the checks are not actually wired
 to the computation.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -33,6 +34,9 @@ def test_coeffs_fails_on_perturbed_lambda(tmp_path, monkeypatch):
     monkeypatch.setattr(qcomb, "lambda_coefficients", fake)
     code, cert = run(["coeffs", "--n", "2", "--ell", "3"], tmp_path)
     assert code == 1 and not cert["pass"]
+    # b and the phi coefficients are Fractions here; pin how they are written
+    digest = hashlib.sha256((tmp_path / "cert.json").read_bytes()).hexdigest()
+    assert digest == "4a740b1bcd8de6f859c77836831343e99469c6f316bc4c3470a8cc4751287291"
 
 
 def test_verify_incl_excl_fails_on_perturbed_lambda(tmp_path, monkeypatch):

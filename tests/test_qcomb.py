@@ -107,12 +107,12 @@ def test_b_coefficients_n2_ell2():
 def test_strong_divisibility_fails_at_boundary():
     # n=1, ell=3: b'_1 = 2 while (ell-1) c_{1,1} = 4; reported, not corrected
     t = b_coefficients(QCombContext(1, 3))
-    claim = t.certificates["strong_divisibility_claim"][1]
+    claim = t.certificates["strong_divisibility_claim"]["1"]
     assert claim["b_prime"] == 2
     assert claim["claim_divisor"] == 4
     assert claim["pass"] is False
     # the weaker integrality that the construction actually needs still holds
-    assert t.certificates["b_r_integrality"][1] is True
+    assert t.certificates["b_r_integrality"]["1"] is True
 
 
 def test_strong_divisibility_holds_below_boundary():
@@ -120,7 +120,7 @@ def test_strong_divisibility_holds_below_boundary():
         for n in (2, 3):
             t = b_coefficients(QCombContext(n, ell))
             for r in range(1, n):
-                assert t.certificates["strong_divisibility_claim"][r]["pass"], (n, ell, r)
+                assert t.certificates["strong_divisibility_claim"][str(r)]["pass"], (n, ell, r)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
@@ -133,8 +133,8 @@ def test_b_integrality_sweep(n, ell):
 
 def test_congruences_examples():
     rep = congruence_certificates(QCombContext(2, 3))
-    assert rep["per_m"][1]["lambda"] == 4
-    assert rep["per_m"][2]["lambda"] == -3
+    assert rep["per_m"]["1"]["lambda"] == 4
+    assert rep["per_m"]["2"]["lambda"] == -3
     assert rep["pass"]
     # ell = 2: congruences mod 1 are trivially true
     assert congruence_certificates(QCombContext(3, 2))["pass"]
