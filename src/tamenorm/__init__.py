@@ -9,6 +9,7 @@ Modules:
   lfactor    -- Frobenius polynomials, central L-values, group-algebra form
   mackey     -- cohomology-functor axioms, Hecke maps, ordinary projector
   classfield -- ring class groups via binary quadratic forms
+  trc        -- the trc-1 certificate builder and its two rules
   cli        -- certificate-emitting command line (entry point: tamenorm)
 """
 

@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm
 
+from . import trc
 from .fingroup import FiniteGroup
 from .matrices import BoundExceeded, hnf_rows, is_prime
 
@@ -84,8 +85,6 @@ class QuadForm:
         return self.b * self.b - 4 * self.a * self.c
 
     def inverse(self):
-        if self.a == self.c or self.a == self.b or self.b == 0:
-            return reduce_form(self)  # ambiguous classes are self-inverse
         return reduce_form(QuadForm(self.a, -self.b, self.c))
 
     def as_tuple(self):
@@ -552,7 +551,7 @@ def class_number_formula_sweep(bound):
         raise BoundExceeded(f"sweep bound {bound} exceeds {MAX_SWEEP}")
     table = class_number_table(bound)
     checked = 0
-    failures = []
+    failure = None
     for d in fundamental_discriminants(bound):
         h_fund = table.get(d, 0)
         m = 1
@@ -560,15 +559,9 @@ def class_number_formula_sweep(bound):
             num, den = _class_number_formula(d, m, h_fund)
             expected, rem = divmod(num, den)
             got = table.get(d * m * m, 0)
-            if rem != 0 or expected != got:
-                failures.append({"d_E": d, "m": m, "enumerated": got,
-                                 "formula": f"{num}/{den}"})
+            if failure is None and (rem != 0 or expected != got):
+                failure = {"d_E": d, "m": m, "enumerated": got, "formula": f"{num}/{den}"}
             checked += 1
             m += 1
-    return {
-        "identity": "class_number_formula_sweep",
-        "bound": bound,
-        "cases_checked": checked,
-        "pass": not failures,
-        "first_failure": failures[0] if failures else None,
-    }
+    return trc.check("class_number_formula_sweep", failure is None, failure,
+                     cases=checked, bound=bound)

@@ -1,9 +1,9 @@
 """Command-line certificate emission.
 
 Subcommands: coeffs, verify-incl-excl, mackey-test, lfactor, classgroup,
-tower, norm-relation.  Every command emits one JSON certificate (schema tag
-"trc-1") with every numeric value exact; with --out, coefficient tables
-also write CSV.
+tower, norm-relation.  Every command emits one JSON certificate, built by
+`trc.run` (schema tag "trc-1"), with every numeric value exact; with --out,
+coefficient tables also write CSV.
 Exit codes: 0 all checks pass, 1 any check fails, 2 configuration error.
 Randomised property sampling is seeded and the seed is embedded in the
 output, so identical configurations produce byte-identical certificates.
@@ -17,30 +17,12 @@ import random
 import sys
 from fractions import Fraction
 
-from . import classfield, hecke, lattice, lfactor, mackey, qcomb
+from . import classfield, hecke, lattice, lfactor, mackey, qcomb, trc
 from .exactnum import ExactScalar
 from .fingroup import CATALOG_NAMES
 from .lfactor import CharacterValue, SatakeParams
 
-SCHEMA = "trc-1"
 MAX_SAMPLES = 1000  # largest mackey-test --samples
-
-
-def _certificate(command, inputs, results, stages):
-    """The trc-1 certificate; `stages` is the ordered (stage, pass) list.
-
-    It passes when every stage passes, and `first_failure` names the first
-    stage that does not.
-    """
-    failed = next((stage for stage, ok in stages if not ok), None)
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "pass": failed is None,
-        "first_failure": None if failed is None else {"stage": failed},
-    }
 
 
 def _exact(x):
@@ -89,15 +71,15 @@ def run_coeffs(args):
     }
     ok = (table.certificates["all_b_integral"]
           and cong["pass"] and phi_cert["pass"] and a_cert["pass"])
-    return _certificate("coeffs", _inputs(args, "n", "ell"), results, [("coeffs", ok)])
+    return trc.run("coeffs", _inputs(args, "n", "ell"), results, [("coeffs", ok)])
 
 
 def run_verify_incl_excl(args):
     ie = lattice.verify_inclusion_exclusion(args.n, args.ell, args.depth)
     mi = lattice.verify_measure_identity(args.n, args.ell, args.depth)
-    return _certificate("verify-incl-excl", _inputs(args, "n", "ell", "depth"),
-                        {"inclusion_exclusion": ie, "measure_identity": mi},
-                        [("lattice", ie["pass"] and mi["pass"])])
+    return trc.run("verify-incl-excl", _inputs(args, "n", "ell", "depth"),
+                   {"inclusion_exclusion": ie, "measure_identity": mi},
+                   [("lattice", ie["pass"] and mi["pass"])])
 
 
 def _load_generator_file(path):
@@ -181,8 +163,8 @@ def run_mackey_test(args):
     ok = all(results[k]["pass"] for k in ("c_axioms", "galois", "cartesian",
                                           "hecke_convolution", "hecke_coset_expansion",
                                           "completed_pushforward"))
-    return _certificate("mackey-test", _inputs(args, "group", "model", "samples", "seed"),
-                        results, [("mackey", ok)])
+    return trc.run("mackey-test", _inputs(args, "group", "model", "samples", "seed"),
+                   results, [("mackey", ok)])
 
 
 def _parse_alpha(strings, n, ell):
@@ -215,8 +197,8 @@ def run_lfactor(args):
         "weil_weights": weil,
         "tame_factor": tame.serialize(),
     }
-    return _certificate("lfactor", _inputs(args, "n", "ell", "alpha", "chi_order"),
-                        results, [("lfactor", central["pass"] and weil["pass"])])
+    return trc.run("lfactor", _inputs(args, "n", "ell", "alpha", "chi_order"),
+                   results, [("lfactor", central["pass"] and weil["pass"])])
 
 
 def run_classgroup(args):
@@ -225,8 +207,8 @@ def run_classgroup(args):
     data = cl.to_json_dict()
     data["characters"] = [list(chi) for chi in chars]
     data["character_order"] = k
-    return _certificate("classgroup", _inputs(args, "disc", "conductor"), data,
-                        [("classgroup", data["class_number_certificate"]["pass"])])
+    return trc.run("classgroup", _inputs(args, "disc", "conductor"), data,
+                   [("classgroup", data["class_number_certificate"]["pass"])])
 
 
 def run_tower(args):
@@ -238,8 +220,8 @@ def run_tower(args):
         "h_small": small.order,
         "h_big": big.order,
     }
-    return _certificate("tower", _inputs(args, "disc", "conductor", "ell"), results,
-                        [("tower", cert["pass"])])
+    return trc.run("tower", _inputs(args, "disc", "conductor", "ell"), results,
+                   [("tower", cert["pass"])])
 
 
 def run_norm_relation(args):
@@ -306,10 +288,10 @@ def run_norm_relation(args):
     }
 
     stages = [(step, cert["pass"]) for step, cert in results.items() if step != "seed"]
-    return _certificate("norm-relation",
-                        _inputs(args, "n", "ell", "disc", "conductor", "alpha", "depth",
-                                "seed", "perturb_b1"),
-                        results, stages)
+    return trc.run("norm-relation",
+                   _inputs(args, "n", "ell", "disc", "conductor", "alpha", "depth",
+                           "seed", "perturb_b1"),
+                   results, stages)
 
 
 def _inputs(args, *names):

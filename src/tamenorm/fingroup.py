@@ -13,6 +13,10 @@ cohomology functor test battery: S_3, S_4, D_8, GL_2(F_3), each with a
 distinguished "Borel-like" subgroup for coset models.
 """
 
+from functools import partial
+
+from .matrices import mat_mul_modq
+
 # Largest group order accepted: the Cayley table holds |G|^2 entries.
 MAX_ORDER = 1000
 
@@ -188,17 +192,6 @@ def dihedral_8():
     return FiniteGroup(_closure([r, f], _perm_mul, ident), _perm_mul, _perm_inv, ident, "D8")
 
 
-def _matmul_modn(N):
-    def mul(A, B):
-        n = len(A)
-        return tuple(
-            tuple(sum(A[i][t] * B[t][j] for t in range(n)) % N for j in range(n))
-            for i in range(n)
-        )
-
-    return mul
-
-
 def matrix_group_mod(generators, N, name="matgrp"):
     """Closure of invertible square generator matrices over Z/N.
 
@@ -216,7 +209,7 @@ def matrix_group_mod(generators, N, name="matgrp"):
             raise ValueError("generators must be square matrices of one size")
         if any(isinstance(x, bool) or not isinstance(x, int) for row in g for x in row):
             raise ValueError("generator entries must be integers")
-    mul = _matmul_modn(N)
+    mul = partial(mat_mul_modq, q=N)
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     gens = [tuple(tuple(x % N for x in row) for row in g) for g in generators]
     return FiniteGroup(_closure(gens, mul, ident), mul, None, ident, name)

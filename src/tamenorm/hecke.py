@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import product
 from operator import itemgetter
 
-from . import qcomb
+from . import qcomb, trc
 from .matrices import (
     BoundExceeded,
     all_matrices_mod,
@@ -85,24 +85,17 @@ def reduce_um_to_psi(m, ctx):
         U, V, r = smith_witness_mod(X, ell)
         counts[r] += 1
         if not _verify_reduction(X, U, V, r, m, ctx):
-            cert = {
-                "identity": "um_reduction", "m": m, "n": n, "ell": ell,
-                "pass": False,
-                "first_failure": {"X": [list(row) for row in X], "rank": r},
-            }
-            return None, counts, cert
+            return None, counts, trc.check(
+                "um_reduction", False, {"X": [list(row) for row in X], "rank": r},
+                m=m, n=n, ell=ell)
     expected = {r: qcomb.rank_count(r, m, ctx) for r in range(m + 1)}
-    ok = counts == expected
-    psi = dict(counts)
-    cert = {
-        "identity": "um_reduction", "m": m, "n": n, "ell": ell,
-        "multiplicities": {r: counts[r] for r in sorted(counts)},
-        "rank_count_formula": {r: expected[r] for r in sorted(expected)},
-        "total": sum(counts.values()),
-        "pass": ok,
-        "first_failure": None if ok else {"counts": counts, "expected": expected},
-    }
-    return psi, counts, cert
+    cert = trc.check(
+        "um_reduction", counts == expected, {"counts": counts, "expected": expected},
+        m=m, n=n, ell=ell,
+        multiplicities={r: counts[r] for r in sorted(counts)},
+        rank_count_formula={r: expected[r] for r in sorted(expected)},
+        total=sum(counts.values()))
+    return dict(counts), counts, cert
 
 
 def _verify_reduction(X, U, V, r, m, ctx):
@@ -167,15 +160,14 @@ def assemble_phi(ctx):
     table = qcomb.b_coefficients(ctx)
     lam, b = table.lam, table.b
     rows = phi_identity_rows(ctx, table, b)
-    ok_all = table.certificates["all_b_integral"] and all(row["pass"] for row in rows)
-    phi = dict(enumerate(b))
-    cert = {
-        "identity": "phi_assembly", "n": n, "ell": ell,
-        "b": list(b), "b_prime": list(table.b_prime), "lambda": list(lam),
-        "rows": rows, "pass": ok_all,
-        "first_failure": next(({"r": row["r"]} for row in rows if not row["pass"]), None),
-    }
-    return phi, cert
+    integral = table.certificates["all_b_integral"]
+    failed_r = next((row["r"] for row in rows if not row["pass"]), None)
+    cert = trc.check(
+        "phi_assembly", integral and failed_r is None,
+        {"all_b_integral": False} if failed_r is None else {"r": failed_r},
+        n=n, ell=ell, b=list(b), b_prime=list(table.b_prime), rows=rows,
+        **{"lambda": list(lam)})
+    return dict(enumerate(b)), cert
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +409,10 @@ def a_coefficients(ctx):
         })
         ok = ok and integral
     boundary = a[n] == -lam[n - 1]
-    cert = {
-        "identity": "a_coefficients", "n": n, "ell": ell,
-        "index_source": "enumeration" if enumerate_orbits else "closed_form",
-        "rows": rows,
-        "a": a,
-        "boundary_a_n_equals_minus_lambda_n": boundary,
-        "pass": ok and boundary,
-        "first_failure": None if ok and boundary else {"rows": rows},
-    }
+    cert = trc.check(
+        "a_coefficients", ok and boundary, {"rows": rows}, n=n, ell=ell,
+        index_source="enumeration" if enumerate_orbits else "closed_form",
+        rows=rows, a=a, boundary_a_n_equals_minus_lambda_n=boundary)
     return a, cert
 
 
@@ -650,14 +637,10 @@ def iwahori_coset_check(r, p, N):
     if r == 0:
         preds = _iwahori_mat_predicates(0, p, N)
         shape = _extract_shape(preds["V_r"], p, N)
-        ok = shape == (0, 0) and D[0] == frozenset(units)
-        return {
-            "identity": "iwahori_cosets", "r": 0, "p": p, "N": N,
-            "mode": "degenerate",
-            "V_0_is_full_level": shape == (0, 0),
-            "D_1_is_full_unit_group": D[0] == frozenset(units),
-            "pass": ok, "first_failure": None if ok else {"shape": shape},
-        }
+        full_level, full_units = shape == (0, 0), D[0] == frozenset(units)
+        return trc.check("iwahori_cosets", full_level and full_units, {"shape": shape},
+                         r=0, p=p, N=N, mode="degenerate", V_0_is_full_level=full_level,
+                         D_1_is_full_unit_group=full_units)
     if N < 2 * r + 2:
         raise ValueError("need N >= 2r + 2 for a faithful truncation")
     preds = _iwahori_mat_predicates(r, p, N)
@@ -722,15 +705,9 @@ def iwahori_coset_check(r, p, N):
         "JD_prime_JD_Vr_singleton": b1_mat,
         "Vr_cap_JD_prime_is_Vr_prime": b2_mat,
     }
-    ok = all(checks.values())
-    return {
-        "identity": "iwahori_cosets", "r": r, "p": p, "N": N,
-        "mode": "explicit" if explicit else "counted",
-        "orders": orders,
-        "checks": checks,
-        "higher_rank": "unchecked: only the GL_2 (half-rank 1) scale is "
-                       "enumerable at depth p^(2r+2); larger ranks are "
-                       "recorded as unchecked, not sampled",
-        "pass": ok,
-        "first_failure": None if ok else {k: v for k, v in checks.items() if not v},
-    }
+    return trc.check(
+        "iwahori_cosets", all(checks.values()), {k: v for k, v in checks.items() if not v},
+        r=r, p=p, N=N, mode="explicit" if explicit else "counted", orders=orders,
+        checks=checks,
+        higher_rank="unchecked: only the GL_2 (half-rank 1) scale is enumerable at "
+                    "depth p^(2r+2); larger ranks are recorded as unchecked, not sampled")

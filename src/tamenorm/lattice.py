@@ -9,7 +9,9 @@ so all measures here are lattice counts.
 
 The two verification routines check, over every sublattice of Z^n at a given
 depth, the chain-wise inclusion-exclusion identity and the per-invariant
-measure identity that pins down the lambda coefficients of module `qcomb`.
+measure identity that pins down the lambda coefficients of module `qcomb`,
+each reported as a `trc.check` certificate with n, ell, depth and its case
+count.
 The members of X_n^{>=1} are the depth-1 sweep without Z^n; they all contain
 ell Z^n, so inclusion-exclusion reads their containments and joins off their
 subspaces of F_ell^n, as bitsets compared and intersected by AND (the HNF
@@ -21,7 +23,7 @@ lambda coefficients share one count of the sweep per invariant.
 from itertools import combinations_with_replacement, product
 from math import prod
 
-from . import qcomb
+from . import qcomb, trc
 from .matrices import (
     BoundExceeded,
     ell_normalize,
@@ -308,9 +310,9 @@ def verify_inclusion_exclusion(n, ell, depth):
     ell_zn = LatticeClass.from_diag_exponents([1] * n, ell)
     for L in members:
         if not contains(L, ell_zn):
-            return _cert("inclusion_exclusion", n, ell, depth, 0, False,
-                         {"reason": "member does not contain ell Z^n",
-                          "lattice": L.basis})
+            return trc.check("inclusion_exclusion", False,
+                             {"reason": "member does not contain ell Z^n",
+                              "lattice": L.basis}, cases=0, n=n, ell=ell, depth=depth)
     masks = [_subspace_mask(L.basis, ell) for L in members]
     above = [[a & b == b for b in masks] for a in masks]
     w, n_chains = _chain_weights(members, above)
@@ -318,9 +320,10 @@ def verify_inclusion_exclusion(n, ell, depth):
     join_idx, missing = _join_table(masks)
     if missing:
         i, j = missing
-        return _cert("inclusion_exclusion", n, ell, depth, 0, False,
-                     {"reason": "join left the generated semilattice",
-                      "pair": [members[i].basis, members[j].basis]})
+        return trc.check("inclusion_exclusion", False,
+                         {"reason": "join left the generated semilattice",
+                          "pair": [members[i].basis, members[j].basis]},
+                         cases=0, n=n, ell=ell, depth=depth)
 
     pairs_by_join = [[] for _ in range(M)]
     for i in range(M):
@@ -334,11 +337,12 @@ def verify_inclusion_exclusion(n, ell, depth):
         if image not in checked:
             failure = _check_pointwise(L, members, w, join_idx, pairs_by_join)
             if failure:
-                return _cert("inclusion_exclusion", n, ell, depth, cases, False, failure)
+                return trc.check("inclusion_exclusion", False, failure, cases=cases,
+                                 n=n, ell=ell, depth=depth)
             checked.add(image)
         cases += 1
-    return _cert("inclusion_exclusion", n, ell, depth, cases, True, None,
-                 extra={"members": M, "chains": n_chains})
+    return trc.check("inclusion_exclusion", True, cases=cases, n=n, ell=ell, depth=depth,
+                     members=M, chains=n_chains)
 
 
 def _subspace_mask(basis, ell):
@@ -420,12 +424,12 @@ def verify_measure_identity(n, ell, depth):
         lhs = total[nu]
         rhs = sum(lam[m] * within[m].get(nu, 0) for m in range(n))
         if lhs != rhs:
-            return _cert("measure_identity", n, ell, depth, cases, False,
-                         {"invariant": list(nu), "lhs": lhs, "rhs": rhs,
-                          "lambda": lam})
+            return trc.check("measure_identity", False,
+                             {"invariant": list(nu), "lhs": lhs, "rhs": rhs, "lambda": lam},
+                             cases=cases, n=n, ell=ell, depth=depth)
         cases += 1
-    return _cert("measure_identity", n, ell, depth, cases, True, None,
-                 extra={"lambda": lam})
+    return trc.check("measure_identity", True, cases=cases, n=n, ell=ell, depth=depth,
+                     **{"lambda": lam})
 
 
 def _invariant_counts(n, ell, depth):
@@ -489,21 +493,3 @@ def _candidate_count(n, ell, depth):
         if count > MAX_CANDIDATES:
             break
     return count
-
-
-def _cert(identity, n, ell, depth, cases, ok, failure, extra=None):
-    """A verification certificate; it never passes on zero cases."""
-    if ok and cases < 1:
-        ok, failure = False, {"reason": "no cases checked"}
-    out = {
-        "identity": identity,
-        "n": n,
-        "ell": ell,
-        "depth": depth,
-        "cases_checked": cases,
-        "pass": ok,
-        "first_failure": failure,
-    }
-    if extra:
-        out.update(extra)
-    return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from . import classfield
+from . import classfield, trc
 from .exactnum import ExactScalar, Poly
 from .matrices import is_prime
 
@@ -241,19 +241,12 @@ def tame_group_algebra_check(cl, sp, ell):
         for h in range(cl.order)
     )
 
-    return {
-        "identity": "tame_group_algebra",
-        "d_E": cl.d_E, "conductor": cl.conductor, "ell": ell, "n": sp.n,
-        "frobenius_orientation": "prime form = geometric Frobenius = Art0(ell)",
-        "frobenius_class": list(fr.as_tuple()),
-        "per_chi": per_chi,
-        "fourier_inversion": recon_ok,
-        "pass": ok and recon_ok,
-        "first_failure": None if ok and recon_ok else {
-            "per_chi": [c for c in per_chi if not c["pass"]],
-            "fourier_inversion": recon_ok,
-        },
-    }
+    return trc.check(
+        "tame_group_algebra", ok and recon_ok,
+        {"per_chi": [c for c in per_chi if not c["pass"]], "fourier_inversion": recon_ok},
+        d_E=cl.d_E, conductor=cl.conductor, ell=ell, n=sp.n,
+        frobenius_orientation="prime form = geometric Frobenius = Art0(ell)",
+        frobenius_class=list(fr.as_tuple()), per_chi=per_chi, fourier_inversion=recon_ok)
 
 
 def big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell):

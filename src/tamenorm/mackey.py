@@ -8,15 +8,19 @@ Axioms (C1)-(C3), Galois descent (G) and the Cartesian double-coset square
 The completed pushforward is built for a subgroup H <= G acting on the same
 set, with Vol(U) = |U| / |G|; in this finite model the completion M-hat
 collapses to M({1}) = C(X), which is recorded in every axiom report (the
-genuinely infinite direct limit is out of reach here).
+genuinely infinite direct limit is out of reach here).  Each axiom report is
+a `trc.check` certificate with its case count, model and group.
 
 The ordinary projector lives at the end: the idempotent lim A^{k!} of a
 matrix over Z/p^N, with certified idempotency, commutation, invertibility on
-the image and residual topological nilpotence on the complement.
+the image and residual topological nilpotence on the complement, reported
+as the `trc.check` certificate "ordinary_projector".
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import trc
 from .fingroup import FiniteGroup
 from .matrices import is_prime, mat_mul_modq, mat_pow_modq
 
@@ -287,9 +291,8 @@ def check_galois_axiom(F: FunctorModel, K, L):
                         stack.append(t)
             k_orbit_count += 1
         fixed_ok = k_orbit_count == len(F.orbits(K))
-    return _mcert("galois", F, fixed_ok,
-                  None if fixed_ok else {"reason": "M(K) != M(L)^{K/L}"},
-                  len(F.basis(K)), extra={"index": index})
+    return _mcert("galois", F, fixed_ok, {"reason": "M(K) != M(L)^{K/L}"},
+                  len(F.basis(K)), index=index)
 
 
 def check_cartesian_axiom(F: FunctorModel, K, L, Lp):
@@ -312,8 +315,7 @@ def check_cartesian_axiom(F: FunctorModel, K, L, Lp):
                           {"K": len(K), "L": len(L), "Lp": len(Lp),
                            "gammas": len(gammas)}, checked)
         checked += 1
-    return _mcert("cartesian", F, True, None, checked,
-                  extra={"gammas": len(gammas)})
+    return _mcert("cartesian", F, True, None, checked, gammas=len(gammas))
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +406,7 @@ def check_convolution(F: FunctorModel, K, Kp, Kpp, sigma, tau):
             return _mcert("hecke_convolution", F, False,
                           {"K": len(K), "Kp": len(Kp), "Kpp": len(Kpp)}, checked)
         checked += 1
-    return _mcert("hecke_convolution", F, True, None, checked,
-                  extra={"support": len(conv)})
+    return _mcert("hecke_convolution", F, True, None, checked, support=len(conv))
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +491,12 @@ def check_finite_level_diagram(F, H, U, K, g):
     return True
 
 
-def _mcert(identity, F, ok, failure, cases, extra=None):
-    """A Mackey-layer certificate; it never passes on zero cases."""
-    if ok and cases < 1:
-        ok, failure = False, {"reason": "no cases checked"}
-    out = {
-        "identity": identity,
-        "model": F.name,
-        "group": F.group.name,
-        "pass": ok,
-        "cases_checked": cases,
-        "first_failure": failure,
-        "completion_note": "finite model: M-hat collapses to M({1}) = C(X); "
-                           "the infinite direct limit is not probed",
-    }
-    if extra:
-        out.update(extra)
-    return out
+def _mcert(identity, F, ok, failure, cases, **fields):
+    """A Mackey-layer `trc.check` certificate, naming the model and group."""
+    return trc.check(identity, ok, failure, cases, model=F.name, group=F.group.name,
+                     completion_note="finite model: M-hat collapses to M({1}) = C(X); "
+                                     "the infinite direct limit is not probed",
+                     **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +658,11 @@ def ordinary_projector(pe: PadicEndo):
     p, N, d = pe.p, pe.N, pe.d
     identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     B, k, certs = _stabilize(pe.mat, pe.mat, identity, p, N)
-    certs.update({"stabilized_at": k, "pass": k is not None, "p": p, "N": N, "d": d})
-    if k is None:
-        # cannot happen for k <= bound by the exponent estimate; reported defensively
-        certs["first_failure"] = {"reason": "no certified stabilization within bound",
-                                  "bound": _exponent_iteration_bound(p, N, d)}
-    return B, certs
+    # k = None cannot happen by the exponent estimate; it is reported defensively
+    failure = {"reason": "no certified stabilization within bound",
+               "bound": _exponent_iteration_bound(p, N, d)}
+    return B, trc.check("ordinary_projector", k is not None, failure,
+                        stabilized_at=k, p=p, N=N, d=d, **certs)
 
 
 def ordinary_projector_perturbed_route(pe: PadicEndo, multiplier=2):

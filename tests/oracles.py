@@ -60,7 +60,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm, prod
 
-from tamenorm import classfield, hecke, lattice, lfactor
+from tamenorm import classfield, hecke, lattice, lfactor, trc
 from tamenorm.exactnum import ExactScalar, Poly
 from tamenorm.classfield import _elt_mul, _ideal_to_form, form_to_ideal
 from tamenorm.lattice import LatticeClass, relative_position
@@ -706,8 +706,9 @@ def ref_verify_inclusion_exclusion(n, ell, depth):
     members = lattice.enumerate_X_ge1(n, ell)
     w, n_chains = _ref_chain_weights(members)
 
-    def cert(cases, ok, failure, extra=None):
-        return lattice._cert("inclusion_exclusion", n, ell, depth, cases, ok, failure, extra)
+    def cert(cases, ok, failure, **fields):
+        return trc.check("inclusion_exclusion", ok, failure, cases, n=n, ell=ell, depth=depth,
+                         **fields)
 
     index = {members[i]: i for i in range(M)}
     join_idx = [[0] * M for _ in range(M)]
@@ -746,7 +747,7 @@ def ref_verify_inclusion_exclusion(n, ell, depth):
                                 {"lattice": L.basis, "pair": [i, j],
                                  "reason": "containment in join without both factors"})
         cases += 1
-    return cert(cases, True, None, {"members": M, "chains": n_chains})
+    return cert(cases, True, None, members=M, chains=n_chains)
 
 
 def ref_verify_reduction(X, U, V, r, m, ctx):

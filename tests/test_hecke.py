@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +21,7 @@ from oracles import (
     ref_um_cosets,
     ref_verify_reduction,
 )
-from tamenorm import hecke, matrices
+from tamenorm import hecke, matrices, qcomb
 from tamenorm.hecke import (
     BoundExceeded,
     HeckeContext,
@@ -129,6 +130,22 @@ def test_assemble_phi_n2_ell2():
     assert cert["pass"]
     assert cert["b"] == [6, -18, 12]
     assert cert["rows"][0]["lhs"] == cert["rows"][0]["rhs"]  # r = 0 restates b_0
+
+
+def test_assemble_phi_names_a_non_integral_b(monkeypatch):
+    # a table whose b is flagged non-integral while every phi row still holds:
+    # the failure must be named, not left null
+    real = qcomb.b_coefficients
+
+    def fake(ctx):
+        table = real(ctx)
+        return replace(table, certificates={**table.certificates, "all_b_integral": False})
+
+    monkeypatch.setattr(qcomb, "b_coefficients", fake)
+    _, cert = assemble_phi(HeckeContext(2, 3))
+    assert all(row["pass"] for row in cert["rows"])
+    assert cert["pass"] is False
+    assert cert["first_failure"] == {"all_b_integral": False}
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])

@@ -20,7 +20,7 @@ from oracles import (
     ref_verify_inclusion_exclusion,
     smith_ell_exponents,
 )
-from tamenorm import lattice
+from tamenorm import lattice, trc
 from tamenorm.lattice import (
     BoundExceeded,
     LatticeClass,
@@ -490,7 +490,7 @@ def test_verifiers_reject_degenerate_rank_and_prime(verify, n, ell, message):
 
 
 def test_certificate_never_passes_on_zero_cases():
-    cert = lattice._cert("measure_identity", 2, 3, 1, 0, True, None)
+    cert = trc.check("measure_identity", True, cases=0, n=2, ell=3, depth=1)
     assert cert["pass"] is False
     assert cert["first_failure"] == {"reason": "no cases checked"}
-    assert lattice._cert("measure_identity", 2, 3, 1, 1, True, None)["pass"] is True
+    assert trc.check("measure_identity", True, cases=1, n=2, ell=3, depth=1)["pass"] is True

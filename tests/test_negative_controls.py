@@ -7,6 +7,7 @@ to the computation.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,8 +36,9 @@ def test_coeffs_fails_on_perturbed_lambda(tmp_path, monkeypatch):
     code, cert = run(["coeffs", "--n", "2", "--ell", "3"], tmp_path)
     assert code == 1 and not cert["pass"]
     # b and the phi coefficients are Fractions here; pin how they are written
+    assert cert["results"]["phi_assembly"]["first_failure"] == {"all_b_integral": False}
     digest = hashlib.sha256((tmp_path / "cert.json").read_bytes()).hexdigest()
-    assert digest == "4a740b1bcd8de6f859c77836831343e99469c6f316bc4c3470a8cc4751287291"
+    assert digest == "846e2e2526794ba24b05d219d7080270a9fa15ec3014fdc964280d737292fa92"
 
 
 def test_verify_incl_excl_fails_on_perturbed_lambda(tmp_path, monkeypatch):
@@ -370,3 +372,61 @@ def test_norm_relation_builtin_control(tmp_path):
     )
     assert code == 1
     assert cert["first_failure"]["stage"] == "step3_phi"
+
+
+def _dicts(node):
+    """Every dict in a certificate, the certificate itself included."""
+    if isinstance(node, dict):
+        yield node
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _dicts(child)
+
+
+def _check_trc_rules(cert):
+    """Assert the two trc-1 rules on every dict of `cert`: `first_failure` is
+    null exactly when `pass` is true, and no dict passes on zero cases.
+    Returns the number of dicts that carry both `pass` and `first_failure`."""
+    both = 0
+    for d in _dicts(cert):
+        if "pass" in d and "first_failure" in d:
+            assert (d["first_failure"] is None) == (d["pass"] is True), d
+            both += 1
+        if d.get("pass") is True and "cases_checked" in d:
+            assert d["cases_checked"] >= 1, d
+    return both
+
+
+def test_golden_certificates_keep_the_trc_rules():
+    goldens = sorted((Path(__file__).parent / "golden").glob("*.json"))
+    both = sum(_check_trc_rules(json.loads(p.read_text())) for p in goldens)
+    assert both >= 48  # the count when the goldens were first walked
+
+
+def _bump_first_lambda(ctx, real=qcomb.lambda_coefficients):
+    lam = real(ctx)
+    lam[0] += 1
+    return lam
+
+
+def _lower_last_lambda(ctx, real=qcomb.lambda_coefficients):
+    lam = real(ctx)
+    lam[-1] -= 1
+    return lam
+
+
+@pytest.mark.parametrize("args, fake_lambda", [
+    (["norm-relation", "--n", "1", "--ell", "5", "--disc", "-71",
+      "--alpha", "1:3", "2:3", "--perturb-b1"], None),
+    (["coeffs", "--n", "2", "--ell", "3"], _bump_first_lambda),
+    (["verify-incl-excl", "--n", "2", "--ell", "2"], _lower_last_lambda),
+    (["norm-relation", "--n", "1", "--ell", "5", "--disc", "-71",
+      "--alpha", "1:3", "2:3"], _bump_first_lambda),
+])
+def test_failing_controls_keep_the_trc_rules(tmp_path, monkeypatch, args, fake_lambda):
+    if fake_lambda:
+        monkeypatch.setattr(qcomb, "lambda_coefficients", fake_lambda)
+    code, cert = run(args, tmp_path)
+    assert code == 1 and cert["pass"] is False
+    assert _check_trc_rules(cert) >= 2
