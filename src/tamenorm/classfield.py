@@ -363,10 +363,6 @@ def _class_number_formula(d_E, m, h_fund):
     return num, den
 
 
-def ring_class_group(d_E, m):
-    return FormClassGroup(d_E, m)
-
-
 def frobenius_class(cl, ell):
     """The prime-form class at a split prime: the GEOMETRIC Frobenius Art0(ell).
 
@@ -448,8 +444,8 @@ class TowerStep:
             raise ValueError(f"ell must be prime, got {ell}")
         if kronecker(d_E, ell) != 1 or m % ell == 0:
             raise ValueError("ell must be split and coprime to the conductor")
-        small = ring_class_group(d_E, m)
-        big = ring_class_group(d_E, m * ell)
+        small = FormClassGroup(d_E, m)
+        big = FormClassGroup(d_E, m * ell)
         if big.order % small.order:
             raise ArithmeticError("class numbers do not divide")
         return TowerStep(d_E, m, ell, big.order // small.order), small, big

@@ -202,7 +202,7 @@ def run_lfactor(args):
 
 
 def run_classgroup(args):
-    cl = classfield.ring_class_group(args.disc, args.conductor)
+    cl = classfield.FormClassGroup(args.disc, args.conductor)
     k, chars = classfield.character_group(cl)
     data = cl.to_json_dict()
     data["characters"] = [list(chi) for chi in chars]
@@ -258,7 +258,7 @@ def run_norm_relation(args):
     if args.perturb_b1:
         b_perturbed = list(table.b)
         b_perturbed[min(1, n)] += 1
-        rows = hecke.phi_identity_rows(ctx, table, b_perturbed)
+        rows = hecke.phi_identity_rows(table, b_perturbed)
         phi_cert = {
             "identity": "phi_assembly",
             "perturbed": "b_1 + 1",
@@ -279,8 +279,8 @@ def run_norm_relation(args):
     }
 
     # (5) L-factor decomposition
-    tga = lfactor.tame_group_algebra_check(cl_small, sp, ell)
-    big_chi = lfactor.big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell)
+    tga = lfactor.tame_group_algebra_check(cl_small, sp)
+    big_chi = lfactor.big_level_chi_decomposition(cl_big, cl_small, mapping, sp)
     results["step5_lfactor"] = {
         "level_m_group_algebra": tga,
         "level_ellm_chi_decomposition": big_chi,

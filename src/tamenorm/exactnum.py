@@ -375,9 +375,6 @@ class ExactScalar:
     def is_zero(self):
         return not any(self.num)
 
-    def is_one(self):
-        return self == 1
-
     def is_rational(self):
         return not any(self.num[1:])
 
@@ -539,9 +536,6 @@ class Poly:
         if len(self.coeffs) == 1 and self.coeffs[0].is_zero():
             return -1
         return len(self.coeffs) - 1
-
-    def constant_term(self):
-        return self.coeffs[0]
 
     def __eq__(self, other):
         if not isinstance(other, Poly):

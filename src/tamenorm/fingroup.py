@@ -176,12 +176,12 @@ class FiniteGroup:
         return all(self.conjugate(k, H) == H for k in K)
 
 
-def symmetric_group(n, name=None):
+def symmetric_group(n):
     from itertools import permutations
 
     elems = [tuple(p) for p in permutations(range(n))]
     ident = tuple(range(n))
-    return FiniteGroup(elems, _perm_mul, _perm_inv, ident, name or f"S{n}")
+    return FiniteGroup(elems, _perm_mul, _perm_inv, ident, f"S{n}")
 
 
 def dihedral_8():

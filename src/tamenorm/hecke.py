@@ -131,13 +131,13 @@ def _verify_reduction(X, U, V, r, m, ctx):
 # ---------------------------------------------------------------------------
 # phi assembly
 
-def phi_identity_rows(ctx, table, b):
+def phi_identity_rows(table, b):
     """The r-indexed phi identity for a b vector, one row per 0 <= r <= n.
 
-    `table` supplies lambda and the rank counts c; b is table.b itself or a
-    perturbed copy (the negative control).
+    `table` supplies n, ell, lambda and the rank counts c; b is table.b itself
+    or a perturbed copy (the negative control).
     """
-    n, ell = ctx.n, ctx.ell
+    n, ell = table.n, table.ell
     lam, c = table.lam, table.c
     rows = []
     for r in range(n + 1):
@@ -159,7 +159,7 @@ def assemble_phi(ctx):
     n, ell = ctx.n, ctx.ell
     table = qcomb.b_coefficients(ctx)
     lam, b = table.lam, table.b
-    rows = phi_identity_rows(ctx, table, b)
+    rows = phi_identity_rows(table, b)
     integral = table.certificates["all_b_integral"]
     failed_r = next((row["r"] for row in rows if not row["pass"]), None)
     cert = trc.check(
@@ -585,32 +585,16 @@ def _extract_shape(pred, p, N):
 
 
 def _shape_order(beta, gamma, p, N):
-    """|{(a,b,c,d) mod p^N : p^beta | b, p^gamma | c, ad - bc unit}| by
-    residue-stratified counting (each stratum has p^(N-1) lifts per entry)."""
+    """|{(a,b,c,d) mod p^N : p^beta | b, p^gamma | c, ad - bc unit}|.
+
+    At beta = gamma = 0 this is |GL_2(Z/p^N)|.  Otherwise p | bc, so the
+    determinant is a unit iff a and d are: p^(N-beta) p^(N-gamma) choices of
+    (b, c) times (q - q/p)^2 of (a, d).
+    """
     q = p ** N
-    lift = q // p
-    total = 0
-    nb = p ** (N - beta)
-    nc = p ** (N - gamma)
-    # stratify b, c by residue mod p within their congruence ranges
-    b_res = {}
-    for i in range(nb):
-        rr = (i * p ** beta) % p
-        b_res[rr] = b_res.get(rr, 0) + 1
-    c_res = {}
-    for i in range(nc):
-        rr = (i * p ** gamma) % p
-        c_res[rr] = c_res.get(rr, 0) + 1
-    for rb, cntb in b_res.items():
-        for rc, cntc in c_res.items():
-            e = (rb * rc) % p
-            good_ad = 0
-            for ra in range(p):
-                for rd in range(p):
-                    if (ra * rd - e) % p:
-                        good_ad += lift * lift
-            total += cntb * cntc * good_ad
-    return total
+    if beta == gamma == 0:
+        return (q // p) ** 4 * (p * p - 1) * (p * p - p)
+    return p ** (2 * N - beta - gamma) * (q - q // p) ** 2
 
 
 def iwahori_coset_check(r, p, N):

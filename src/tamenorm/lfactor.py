@@ -66,7 +66,7 @@ class FrobPoly:
         for P in (self.p_lambda, self.p_central):
             if P.degree != 2 * self.n:
                 raise ValueError("Frobenius polynomial must have degree exactly 2n")
-            if not P.constant_term().is_one():
+            if P.coeffs[0] != 1:
                 raise ValueError("Frobenius polynomial must have constant term 1")
 
 
@@ -198,7 +198,7 @@ def _eigenvalue_table(sp, k, exponents):
     return P, table
 
 
-def tame_group_algebra_check(cl, sp, ell):
+def tame_group_algebra_check(cl, sp):
     """The group-algebra form of the tame relation over Pic(O_m).
 
     Builds P(Fr) in Q(sqrt ell, zeta)[cl] at the GEOMETRIC Frobenius class
@@ -208,8 +208,7 @@ def tame_group_algebra_check(cl, sp, ell):
     product L(sigma tensor chi_ell, 1/2)^{-1} with chi_ell(ell) = chi(Fr).
     Fourier inversion over cl reconstructs the element exactly.
     """
-    if ell != sp.ell:
-        raise ValueError("the split prime must match the Satake context")
+    ell = sp.ell
     fr = classfield.frobenius_class(cl, ell)  # geometric orientation
     fr_idx = cl.index[fr]
     k, chars = classfield.character_group(cl)
@@ -249,7 +248,7 @@ def tame_group_algebra_check(cl, sp, ell):
         frobenius_class=list(fr.as_tuple()), per_chi=per_chi, fourier_inversion=recon_ok)
 
 
-def big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell):
+def big_level_chi_decomposition(cl_big, cl_small, mapping, sp):
     """Eigenvalues of the tame factor along characters of Gal(E[ell m]/E).
 
     Characters factoring through the norm map see P at the level-m Frobenius;
@@ -257,7 +256,7 @@ def big_level_chi_decomposition(cl_big, cl_small, mapping, sp, ell):
     at a kernel generator.  Every eigenvalue is cross-checked against the
     independent product formula.
     """
-    fr_small_idx = cl_small.index[classfield.frobenius_class(cl_small, ell)]
+    fr_small_idx = cl_small.index[classfield.frobenius_class(cl_small, sp.ell)]
     kernel = [i for i in range(cl_big.order) if mapping[i] == cl_small.identity]
     k_gen = max(kernel, key=cl_big.element_order)
     # chi = chibar o norm: chibar at the level-m Frobenius is chi at any preimage

@@ -321,59 +321,43 @@ def check_cartesian_axiom(F: FunctorModel, K, L, Lp):
 # ---------------------------------------------------------------------------
 # Hecke correspondences
 
-@dataclass
-class HeckeCorrespondence:
-    """[K' sigma K]: M(K) -> M(K'), dependent only on the double coset."""
-
-    functor: FunctorModel
-    source: frozenset
-    target: frozenset
-    sigma: object
-
-    def __post_init__(self):
-        self.source = frozenset(self.source)
-        self.target = frozenset(self.target)
-
-    def apply(self, zeta):
-        F, G = self.functor, self.functor.group
-        K, Kp, σ = self.source, self.target, self.sigma
-        A = K & G.conjugate(G.inv(σ), Kp)
-        B = G.conjugate(σ, K) & Kp
-        step1 = F.pr_pull(A, K)(zeta)
-        step2 = F.pullback(σ, A, B)(step1)
-        return F.pr_push(B, Kp)(step2)
-
-    def left_coset_reps(self):
-        G = self.functor.group
-        dc = G.double_coset(self.target, self.sigma, self.source)
-        return G.left_coset_reps(self.source, within=dc)
-
-
 def hecke_map(F: FunctorModel, K, Kp, sigma):
-    return HeckeCorrespondence(F, frozenset(K), frozenset(Kp), sigma)
+    """[K' sigma K]: M(K) -> M(K') as the composite pr_* o [sigma]^* o pr^*.
+
+    With A = K cap sigma^{-1} K' sigma and B = sigma K sigma^{-1} cap K', the
+    map is pr^*: M(K) -> M(A), then [sigma]^*: M(A) -> M(B), then
+    pr_*: M(B) -> M(K'); it depends only on the double coset K' sigma K.
+    """
+    G = F.group
+    K, Kp = frozenset(K), frozenset(Kp)
+    A = K & G.conjugate(G.inverse[sigma], Kp)
+    B = G.conjugate(sigma, K) & Kp
+    up, move, down = F.pr_pull(A, K), F.pullback(sigma, A, B), F.pr_push(B, Kp)
+    return lambda zeta: down(move(up(zeta)))
 
 
 def check_double_coset_dependence(F, K, Kp, sigma, rng):
     """[K' sigma K] is unchanged when sigma moves to 4 random points of K' sigma K."""
     G = F.group
     base = hecke_map(F, K, Kp, sigma)
-    base_vals = [base.apply(z) for z in F.basis(K)]
+    base_vals = [base(z) for z in F.basis(K)]
     Kl, Kpl = sorted(K), sorted(Kp)
     for _ in range(4):
         σ2 = G.mul(G.mul(Kpl[rng.randrange(len(Kpl))], sigma), Kl[rng.randrange(len(Kl))])
         other = hecke_map(F, K, Kp, σ2)
         for z, want in zip(F.basis(K), base_vals):
-            if not fn_equal(other.apply(z), want):
+            if not fn_equal(other(z), want):
                 return False
     return True
 
 
 def check_coset_expansion(F: FunctorModel, K, Kp, sigma):
     """Part (a): j_{K'} [K' sigma K] = sum over alpha with K' sigma K = |_| alpha K."""
+    G = F.group
     corr = hecke_map(F, K, Kp, sigma)
-    alphas = corr.left_coset_reps()
+    alphas = G.left_coset_reps(K, within=G.double_coset(Kp, sigma, K))
     for zeta in F.basis(K):
-        lhs = corr.apply(zeta)  # already a function on X
+        lhs = corr(zeta)  # already a function on X
         rhs = {}
         for a in alphas:
             rhs = fn_add(rhs, F.hat_action(a, zeta))
@@ -398,7 +382,7 @@ def check_convolution(F: FunctorModel, K, Kp, Kpp, sigma, tau):
             conv[g] = Fraction(count, len(Kp))
     checked = 0
     for zeta in F.basis(K):
-        lhs = second.apply(first.apply(zeta))
+        lhs = second(first(zeta))
         rhs = {}
         for g, c in conv.items():
             rhs = fn_add(rhs, fn_scale(F.hat_action(g, zeta), c))
@@ -507,9 +491,7 @@ def catalog_model(name, which="G"):
     from .fingroup import catalog_group
 
     G, B = catalog_group(name)
-    ups = upsilon_closure(G, [B])
-    ctx = FiniteGroupCtx(G, ups)
-    return _build_model(ctx, G, B, which, name)
+    return _build_model(G, B, which, name)
 
 
 def model_from_generators(generators, modulus, which="G", name="matgrp"):
@@ -518,12 +500,12 @@ def model_from_generators(generators, modulus, which="G", name="matgrp"):
 
     G = matrix_group_mod(generators, modulus, name)
     B = G.generate([G.elements[0] if G.elements[0] != G.identity else G.elements[-1]])
-    ups = upsilon_closure(G, [B])
-    ctx = FiniteGroupCtx(G, ups)
-    return _build_model(ctx, G, B, which, name)
+    return _build_model(G, B, which, name)
 
 
-def _build_model(ctx, G, B, which, name):
+def _build_model(G, B, which, name):
+    """The model `which` of G, with Upsilon closed from the subgroup B."""
+    ctx = FiniteGroupCtx(G, upsilon_closure(G, [B]))
     if which not in ("G", "cosets", "two"):
         raise ValueError(f"unknown model {which!r}")
     table = G.table

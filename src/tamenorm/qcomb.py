@@ -11,7 +11,7 @@ This convention reproduces lambda = (ell+1, -ell) at n = 2 and is validated
 against brute-force lattice enumeration (see module `lattice`).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -114,7 +114,7 @@ class CoefficientTable:
     d: list
     b: list
     b_prime: list
-    certificates: dict = field(default_factory=dict)
+    certificates: dict
 
     def to_json_dict(self):
         return {

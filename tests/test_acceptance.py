@@ -213,7 +213,7 @@ def test_criterion_11_class_field_data():
     t0 = time.time()
     sweep = classfield.class_number_formula_sweep(10 ** 5)
     ok = sweep["pass"]
-    cl = classfield.ring_class_group(-4, 5)
+    cl = classfield.FormClassGroup(-4, 5)
     ok = ok and cl.order == 2
     ok = ok and {f.as_tuple() for f in cl.labels} == {(1, 0, 25), (2, 2, 13)}
     towers = [

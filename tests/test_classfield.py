@@ -25,7 +25,6 @@ from tamenorm.classfield import (
     principal_form,
     reduce_form,
     reduced_forms,
-    ring_class_group,
 )
 from tamenorm.exactnum import ExactScalar
 from tamenorm.fingroup import FiniteGroup
@@ -131,31 +130,31 @@ def test_group_axioms_and_ideal_oracle(D):
 
 
 def test_ring_class_group_examples():
-    assert ring_class_group(-4, 1).order == 1
-    cl = ring_class_group(-4, 5)
+    assert FormClassGroup(-4, 1).order == 1
+    cl = FormClassGroup(-4, 5)
     assert cl.order == 2
     assert {f.as_tuple() for f in cl.labels} == {(1, 0, 25), (2, 2, 13)}
     assert cl.class_number_formula_certificate()["pass"]
-    assert ring_class_group(-3, 2).order == 1
+    assert FormClassGroup(-3, 2).order == 1
 
 
 def test_ring_class_group_validation():
     with pytest.raises(ValueError):
-        ring_class_group(-12, 1)      # not fundamental
+        FormClassGroup(-12, 1)      # not fundamental
     with pytest.raises(ValueError):
-        ring_class_group(-4, 0)
+        FormClassGroup(-4, 0)
     with pytest.raises(ValueError):
         FormClassGroup(-4, 10 ** 4)   # exceeds default bound
 
 
 @pytest.mark.parametrize("d_E,m", [(-4, 3), (-3, 5), (-7, 2), (-8, 3), (-20, 1), (-23, 2)])
 def test_class_number_formula(d_E, m):
-    cl = ring_class_group(d_E, m)
+    cl = FormClassGroup(d_E, m)
     assert cl.class_number_formula_certificate()["pass"]
 
 
 def test_frobenius_classes_disc_100():
-    cl = ring_class_group(-4, 5)
+    cl = FormClassGroup(-4, 5)
     f13 = frobenius_class(cl, 13)
     assert f13 == QuadForm(2, 2, 13)       # 13 represented by the nontrivial class
     f29 = frobenius_class(cl, 29)
@@ -163,7 +162,7 @@ def test_frobenius_classes_disc_100():
 
 
 def test_frobenius_well_defined_under_b_shift():
-    cl = ring_class_group(-4, 5)
+    cl = FormClassGroup(-4, 5)
     for ell in (13, 29, 37, 41):
         D = cl.discriminant
         sols = [b for b in range(4 * ell) if (b * b - D) % (4 * ell) == 0]
@@ -174,7 +173,7 @@ def test_frobenius_well_defined_under_b_shift():
 
 
 def test_frobenius_rejects_bad_primes():
-    cl = ring_class_group(-4, 5)
+    cl = FormClassGroup(-4, 5)
     with pytest.raises(ValueError):
         frobenius_class(cl, 3)    # inert
     with pytest.raises(ValueError):
@@ -183,7 +182,7 @@ def test_frobenius_rejects_bad_primes():
 
 def test_frobenius_order_matches_splitting():
     # order of Frob_ell in Pic(O_m) = least f with ell^f represented principally
-    cl = ring_class_group(-4, 5)
+    cl = FormClassGroup(-4, 5)
     for ell in (13, 29, 37, 61):
         f = frobenius_class(cl, ell)
         idx = cl.index[f]
@@ -207,8 +206,8 @@ def test_frobenius_order_matches_splitting():
 
 
 def test_norm_map_examples():
-    big = ring_class_group(-4, 5)
-    small = ring_class_group(-4, 1)
+    big = FormClassGroup(-4, 5)
+    small = FormClassGroup(-4, 1)
     mapping, cert = norm_map(big, small)
     assert cert["pass"], cert
     assert cert["kernel_order"] == 2 == cert["degree"]
@@ -228,10 +227,10 @@ def test_norm_map_sampled_towers():
 
 def test_norm_map_composes_over_two_steps():
     # norm maps commute along a two-prime tower (-4): 65 = 5 * 13
-    top = ring_class_group(-4, 65)
-    mid5 = ring_class_group(-4, 13)
-    mid13 = ring_class_group(-4, 5)
-    bot = ring_class_group(-4, 1)
+    top = FormClassGroup(-4, 65)
+    mid5 = FormClassGroup(-4, 13)
+    mid13 = FormClassGroup(-4, 5)
+    bot = FormClassGroup(-4, 1)
     m_a, c_a = norm_map(top, mid5)     # divide by 5
     m_b, c_b = norm_map(mid5, bot)     # divide by 13
     m_c, c_c = norm_map(top, mid13)    # divide by 13
@@ -243,8 +242,8 @@ def test_norm_map_composes_over_two_steps():
 
 def test_frobenius_functorial_under_norm():
     # the norm map carries Frob_q at conductor 5m to Frob_q at conductor m
-    big = ring_class_group(-4, 5)
-    small = ring_class_group(-4, 1)
+    big = FormClassGroup(-4, 5)
+    small = FormClassGroup(-4, 1)
     mapping, cert = norm_map(big, small)
     for q in (13, 29, 37):
         fb = frobenius_class(big, q)
@@ -253,13 +252,13 @@ def test_frobenius_functorial_under_norm():
 
 
 def test_character_group_trivial():
-    cl = ring_class_group(-4, 1)
+    cl = FormClassGroup(-4, 1)
     k, chars = character_group(cl)
     assert k == 1 and chars == [(0,)]
 
 
 def test_character_group_z2():
-    cl = ring_class_group(-4, 5)
+    cl = FormClassGroup(-4, 5)
     k, chars = character_group(cl)
     assert k == 2 and len(chars) == 2
     vals = sorted(chi[1 - cl.identity] for chi in chars)
@@ -273,7 +272,7 @@ def test_character_group_z4():
     # D = -156 = -39 * 2^2 has class group Z/4
     forms = reduced_forms(-156)
     assert len(forms) == 4
-    cl = ring_class_group(-39, 2)
+    cl = FormClassGroup(-39, 2)
     assert cl.order == 4
     assert cl.exponent == 4
     k, chars = character_group(cl)
@@ -284,7 +283,7 @@ def test_character_group_z4():
 def _ring_class_groups(bound):
     """Every ring class group with |D| = |d_E| m^2 <= bound."""
     return tuple(
-        ring_class_group(d_E, m)
+        FormClassGroup(d_E, m)
         for d_E in range(-3, -bound - 1, -1) if is_fundamental_discriminant(d_E)
         for m in range(1, isqrt(bound // -d_E) + 1)
     )
@@ -346,7 +345,7 @@ def test_character_group_refuses_non_abelian_table():
 
 
 def test_character_group_refuses_non_generating_set():
-    cl = ring_class_group(-39, 2)  # Z/4
+    cl = FormClassGroup(-39, 2)  # Z/4
     half = next(x for x in cl.elements if cl.element_order(x) == 2)
     cl.generators = lambda: [half]
     with pytest.raises(ArithmeticError, match="generate"):
@@ -429,7 +428,7 @@ def test_class_number_sweep_smallest_bound():
 
 
 def test_structure_and_json():
-    cl = ring_class_group(-4, 5)
+    cl = FormClassGroup(-4, 5)
     d = cl.to_json_dict()
     assert d["order"] == 2
     assert d["structure"] == [2]
@@ -465,7 +464,7 @@ def test_structure_counts_match_ideal_oracle():
             continue
         m = 1
         while -d_E * m * m <= 5000:
-            cl = ring_class_group(d_E, m)
+            cl = FormClassGroup(d_E, m)
             structure = cl.structure()
             h = cl.order
             assert all(d > 1 for d in structure)

@@ -396,6 +396,17 @@ def test_iwahori_modes_agree_at_p2():
         assert H._shape_order(*shape, 2, 4) == explicit["orders"][name], name
 
 
+@pytest.mark.parametrize("p, N", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_shape_order_counts_every_matrix(p, N):
+    # the closed form against a count of every (a, b, c, d) mod p^N
+    q = p ** N
+    for beta in range(N + 1):
+        for gamma in range(N + 1):
+            want = sum(1 for a, b, c, d in product(range(q), repeat=4)
+                       if b % p ** beta == 0 and c % p ** gamma == 0 and (a * d - b * c) % p)
+            assert hecke._shape_order(beta, gamma, p, N) == want, (beta, gamma)
+
+
 def test_iwahori_needs_depth():
     with pytest.raises(ValueError):
         iwahori_coset_check(1, 2, 3)

@@ -185,7 +185,7 @@ def test_hecke_identity_coset(s3_model):
     sigma = sorted(B)[0]
     corr = hecke_map(s3_model, B, B, sigma)
     for zeta in s3_model.basis(B):
-        assert fn_equal(corr.apply(zeta), zeta)
+        assert fn_equal(corr(zeta), zeta)
 
 
 def test_hecke_double_coset_dependence(s3_model):

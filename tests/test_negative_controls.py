@@ -151,9 +151,9 @@ def test_step5_fails_on_one_perturbed_eigenvalue(tmp_path, monkeypatch):
     # reads the coefficients of P, not the Horner values, and still holds
     real = Poly.eval
     monkeypatch.setattr(Poly, "eval", lambda P, x: real(P, x) + (1 if x == 1 else 0))
-    cl = classfield.ring_class_group(-39, 2)  # Z/4
+    cl = classfield.FormClassGroup(-39, 2)  # Z/4
     sp = lfactor.SatakeParams.from_root_exponents(1, 5, [(1, 4), (3, 4)])
-    cert = lfactor.tame_group_algebra_check(cl, sp, 5)
+    cert = lfactor.tame_group_algebra_check(cl, sp)
     assert cert["pass"] is False and cert["fourier_inversion"] is True
     failed = cert["first_failure"]["per_chi"]
     assert failed and all(row["chi_at_frobenius"] == "1" for row in failed)
@@ -181,9 +181,9 @@ def test_fourier_inversion_fails_on_duplicated_character(monkeypatch):
         return k, chars[:-1] + chars[:1]
 
     monkeypatch.setattr(classfield, "character_group", fake)
-    cl = classfield.ring_class_group(-39, 2)  # Z/4
+    cl = classfield.FormClassGroup(-39, 2)  # Z/4
     sp = lfactor.SatakeParams.from_root_exponents(1, 5, [(1, 4), (3, 4)])
-    cert = lfactor.tame_group_algebra_check(cl, sp, 5)
+    cert = lfactor.tame_group_algebra_check(cl, sp)
     assert all(row["pass"] for row in cert["per_chi"])
     assert cert["fourier_inversion"] is False
     assert cert["pass"] is False
