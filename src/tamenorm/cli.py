@@ -106,7 +106,7 @@ def run_mackey_test(args):
     else:
         F = mackey.catalog_model(args.group, args.model)
     G = F.group
-    levels = list(F.ctx.upsilon)
+    levels = F.upsilon
     results = {"model": F.name, "group_order": len(G)}
 
     results["c_axioms"] = mackey.check_c_axioms(F, max(args.samples // 4, 8), rng)
@@ -123,16 +123,16 @@ def run_mackey_test(args):
     results["galois"] = {"pass": galois_ok, "cases_checked": args.samples}
     results["cartesian"] = {"pass": cartesian_ok, "cases_checked": args.samples}
 
-    conv_ok = True
-    expansion_ok = True
+    conv_ok = expansion_ok = True
     for _ in range(args.samples):
         K = levels[rng.randrange(len(levels))]
         Kp = levels[rng.randrange(len(levels))]
         Kpp = levels[rng.randrange(len(levels))]
         sigma = G.elements[rng.randrange(len(G))]
         tau = G.elements[rng.randrange(len(G))]
-        conv_ok = conv_ok and mackey.check_convolution(F, K, Kp, Kpp, sigma, tau)["pass"]
+        ok_conv = mackey.check_convolution(F, K, Kp, Kpp, sigma, tau)["pass"]
         ok_exp, _ = mackey.check_coset_expansion(F, K, Kp, sigma)
+        conv_ok = conv_ok and ok_conv
         expansion_ok = expansion_ok and ok_exp
     results["hecke_convolution"] = {"pass": conv_ok, "cases_checked": args.samples}
     results["hecke_coset_expansion"] = {"pass": expansion_ok, "cases_checked": args.samples}
@@ -144,15 +144,15 @@ def run_mackey_test(args):
         K = levels[rng.randrange(len(levels))]
         normals = [L for L in levels if L <= K and G.is_normal(L, K)]
         L = normals[rng.randrange(len(normals))]
-        x = {p: Fraction(1) for p in F.points}
-        push_ok = push_ok and mackey.check_pushforward_well_defined(F, H, x, K, L)
+        x = dict.fromkeys(F.points, Fraction(1))
         g1 = G.elements[rng.randrange(len(G))]
         h = G.elements[rng.randrange(len(G))]
         g2 = G.elements[rng.randrange(len(G))]
-        push_ok = push_ok and mackey.check_pushforward_equivariance(F, H, x, g1, K, h, g2)
-        cap = G.conjugate(g1, K) & H
-        push_ok = push_ok and mackey.check_finite_level_diagram(F, H, cap, K, g1)
-        push_cases += 3
+        oks = [mackey.check_pushforward_well_defined(F, H, x, K, L),
+               mackey.check_pushforward_equivariance(F, H, x, g1, K, h, g2),
+               mackey.check_finite_level_diagram(F, H, G.conjugate(g1, K) & H, K, g1)]
+        push_ok = push_ok and all(oks)
+        push_cases += len(oks)
     results["completed_pushforward"] = {
         "pass": push_ok,
         "cases_checked": push_cases,

@@ -2,8 +2,11 @@
 
 The function model realises M(K) = C(X/K; Q) for a finite set X with right
 G-action: pullbacks compose with the action, pushforwards sum over cosets.
-Axioms (C1)-(C3), Galois descent (G) and the Cartesian double-coset square
-(M) are checked by direct evaluation on orbit-indicator bases.
+One `FunctorModel` holds G, the levels Upsilon and the action table; it
+interns the points of X as `FiniteGroup` interns elements, so a function is
+a dict from point indices to values.  Axioms (C1)-(C3), Galois descent (G)
+and the Cartesian double-coset square (M) are checked by direct evaluation
+on orbit-indicator bases.
 
 The completed pushforward is built for a subgroup H <= G acting on the same
 set, with Vol(U) = |U| / |G|; in this finite model the completion M-hat
@@ -23,43 +26,6 @@ from fractions import Fraction
 from . import trc
 from .fingroup import FiniteGroup
 from .matrices import is_prime, mat_mul_modq, mat_pow_modq
-
-
-# ---------------------------------------------------------------------------
-# (G, Sigma, Upsilon) contexts
-
-class FiniteGroupCtx:
-    """A finite (G, Sigma, Upsilon) triple with Sigma = G and the closure
-    conditions on Upsilon checked (the profinite asymmetry between Sigma and
-    G only matters p-adically)."""
-
-    def __init__(self, group: FiniteGroup, upsilon):
-        self.group = group
-        self.upsilon = tuple(frozenset(K) for K in upsilon)
-        self._levels = frozenset(self.upsilon)
-        self._validate()
-
-    def _validate(self):
-        G = self.group
-        ups = self._levels
-        if frozenset({G.identity}) not in ups:
-            raise ValueError("Upsilon must contain the trivial subgroup "
-                             "(a basis of open normal subgroups of each K)")
-        for K in ups:
-            if not G.is_subgroup(K):
-                raise ValueError("Upsilon member is not a subgroup")
-        conjugates = {K: {G.conjugate(g, K) for g in G.elements} for K in ups}
-        for K in ups:
-            if not conjugates[K] <= ups:
-                raise ValueError("Upsilon not closed under Sigma-conjugation")
-        for K in ups:
-            for L in ups:
-                for Lg in conjugates[L]:
-                    if K & Lg not in ups:
-                        raise ValueError("Upsilon not closed under twisted intersections")
-
-    def has_level(self, K):
-        return frozenset(K) in self._levels
 
 
 def upsilon_closure(group: FiniteGroup, seeds):
@@ -100,10 +66,12 @@ def fn_equal(f, g):
     return _fn_clean(f) == _fn_clean(g)
 
 
-def fn_add(f, g):
-    out = dict(f)
-    for x, v in g.items():
-        out[x] = out.get(x, 0) + v
+def fn_sum(pieces):
+    """The sum of the functions in `pieces`, added in one pass and cleaned once."""
+    out = {}
+    for f in pieces:
+        for x, v in f.items():
+            out[x] = out[x] + v if x in out else v
     return _fn_clean(out)
 
 
@@ -112,22 +80,44 @@ def fn_scale(f, c):
 
 
 class FunctorModel:
-    """M(K) = finitely supported functions on X/K, X a right G-set.
+    """M(K) = finitely supported functions on X/K, X a right G-set, over the
+    finite (G, Sigma, Upsilon) triple with Sigma = G.
 
-    The action is tabulated once: `_moves[g][i]` is the index of the point
-    `points[i] . g`, so `act` is called |X| |G| times, here only, and is
-    checked to be a right action on a generating set of G.  A function is a
-    dict from points to values; translating it touches only its support.
+    Upsilon is checked once for the closure conditions (the profinite
+    asymmetry between Sigma and G only matters p-adically).  The points are
+    interned as `FiniteGroup` interns elements: `points` is range(|X|),
+    `labels[i]` is the concrete point behind index i, and a function is a
+    dict from point indices to values.  The action is tabulated once:
+    `_moves[g][i]` is the index of `labels[i] . g`, so `act` is called
+    |X| |G| times, here only, and is checked to be a right action on a
+    generating set of G.  Translating a function touches only its support.
     """
 
-    def __init__(self, ctx: FiniteGroupCtx, points, act, name="fn-model"):
-        self.ctx = ctx
-        self.points = tuple(points)
+    def __init__(self, group: FiniteGroup, upsilon, points, act, name="fn-model"):
+        self.group = G = group
+        self.upsilon = tuple(frozenset(K) for K in upsilon)
+        levels = frozenset(self.upsilon)
+        if frozenset({G.identity}) not in levels:
+            raise ValueError("Upsilon must contain the trivial subgroup "
+                             "(a basis of open normal subgroups of each K)")
+        for K in levels:
+            if not G.is_subgroup(K):
+                raise ValueError("Upsilon member is not a subgroup")
+        conjugates = {K: {G.conjugate(g, K) for g in G.elements} for K in levels}
+        for K in levels:
+            if not conjugates[K] <= levels:
+                raise ValueError("Upsilon not closed under Sigma-conjugation")
+        for K in levels:
+            for L in levels:
+                for Lg in conjugates[L]:
+                    if K & Lg not in levels:
+                        raise ValueError("Upsilon not closed under twisted intersections")
+        self.labels = tuple(points)
+        self.points = range(len(self.labels))
         self.name = name
-        G = ctx.group
-        self._index = {x: i for i, x in enumerate(self.points)}
-        moves = tuple(tuple(self._index[act(x, g)] for x in self.points) for g in G.elements)
-        if moves[G.identity] != tuple(range(len(self.points))):
+        index = {x: i for i, x in enumerate(self.labels)}
+        moves = tuple(tuple(index[act(x, g)] for x in self.labels) for g in G.elements)
+        if moves[G.identity] != tuple(self.points):
             raise ValueError("the identity must fix every point")
         for s in G.generators():
             after_s = moves[s].__getitem__
@@ -136,25 +126,18 @@ class FunctorModel:
         self._moves = moves
         self._orbit_cache = {}
 
-    @property
-    def group(self):
-        return self.ctx.group
-
-    def act(self, x, g):
-        return self.points[self._moves[g][self._index[x]]]
-
     def orbits(self, K):
         K = frozenset(K)
         if K not in self._orbit_cache:
             columns = [self._moves[k] for k in K]
             seen = set()
             orbits = []
-            for i in range(len(self.points)):
+            for i in self.points:
                 if i in seen:
                     continue
-                orb = {col[i] for col in columns}
+                orb = frozenset(col[i] for col in columns)
                 seen |= orb
-                orbits.append(frozenset(self.points[j] for j in orb))
+                orbits.append(orb)
             self._orbit_cache[K] = tuple(orbits)
         return self._orbit_cache[K]
 
@@ -164,30 +147,27 @@ class FunctorModel:
 
     def is_invariant(self, f, K):
         f = _fn_clean(f)
-        pts, index = self.points, self._index
         columns = [self._moves[k] for k in K]
-        for x in list(f) if len(f) < len(pts) else pts:
-            i, v = index[x], f.get(x, 0)
-            if any(f.get(pts[col[i]], 0) != v for col in columns):
+        for i in f if len(f) < len(self.points) else self.points:
+            v = f.get(i, 0)
+            if any(f.get(col[i], 0) != v for col in columns):
                 return False
         return True
 
     # morphism realisations ---------------------------------------------------
 
     def _backs(self, gs):
-        """For each g in gs, the table of i -> index of points[i] . g^{-1}."""
+        """For each g in gs, the table of i -> index of labels[i] . g^{-1}."""
         inverse = self.group.inverse
         return [self._moves[inverse[g]] for g in gs]
 
     def _spread(self, f, backs):
-        """x -> sum over b in backs of f(x . g_b): each f(y) lands on y . g_b^{-1}."""
-        pts, index = self.points, self._index
+        """x -> sum over b in backs of f(x . g_b): each f(i) lands on i . g_b^{-1}."""
         out = {}
-        for y, v in f.items():
+        for i, v in f.items():
             if v:
-                i = index[y]
                 for back in backs:
-                    x = pts[back[i]]
+                    x = back[i]
                     out[x] = out[x] + v if x in out else v
         return _fn_clean(out)
 
@@ -227,14 +207,12 @@ class FunctorModel:
 def check_c_axioms(F: FunctorModel, samples, rng):
     """(C1) shared value space, (C2) [g]^* = [g^{-1}]_* on conjugates, (C3)."""
     G = F.group
-    levels = [K for K in F.ctx.upsilon]
+    levels = F.upsilon
     checked = 0
     for _ in range(samples):
         L = levels[rng.randrange(len(levels))]
         g = G.elements[rng.randrange(len(G.elements))]
         K = G.conjugate(G.inverse[g], L)
-        if not F.ctx.has_level(K):
-            continue
         pull = F.pullback(g, K, L)
         push = F.pushforward(G.inverse[g], K, L)
         for zeta in F.basis(K):
@@ -269,7 +247,7 @@ def check_galois_axiom(F: FunctorModel, K, L):
     if G.is_normal(L, K):
         # K/L acts on L-orbits; the fixed space is M(K) iff orbit counts agree
         l_orbits = F.orbits(L)
-        orbit_index = {}
+        orbit_index = [0] * len(F.points)
         for i, orb in enumerate(l_orbits):
             for x in orb:
                 orbit_index[x] = i
@@ -285,7 +263,7 @@ def check_galois_axiom(F: FunctorModel, K, L):
                 j = stack.pop()
                 x = next(iter(l_orbits[j]))
                 for r in reps:
-                    t = orbit_index[F.act(x, r)]
+                    t = orbit_index[F._moves[r][x]]
                     if t not in seen:
                         seen.add(t)
                         stack.append(t)
@@ -302,15 +280,14 @@ def check_cartesian_axiom(F: FunctorModel, K, L, Lp):
     if not (L <= K and Lp <= K):
         raise ValueError("need L, L' <= K")
     gammas = G.double_coset_reps(L, Lp, within=K)
+    up, down = F.pr_pull(L, K), F.pr_push(Lp, K)
+    squares = []
+    for γ in gammas:
+        Lg = G.conjugate(γ, Lp) & L
+        squares.append((F.pullback(γ, Lp, Lg), F.pr_push(Lg, L)))
     checked = 0
     for zeta in F.basis(Lp):
-        path1 = F.pr_pull(L, K)(F.pr_push(Lp, K)(zeta))
-        acc = {}
-        for γ in gammas:
-            Lg = G.conjugate(γ, Lp) & L
-            piece = F.pr_push(Lg, L)(F.pullback(γ, Lp, Lg)(zeta))
-            acc = fn_add(acc, piece)
-        if not fn_equal(path1, acc):
+        if not fn_equal(up(down(zeta)), fn_sum(push(pull(zeta)) for pull, push in squares)):
             return _mcert("cartesian", F, False,
                           {"K": len(K), "L": len(L), "Lp": len(Lp),
                            "gammas": len(gammas)}, checked)
@@ -357,11 +334,8 @@ def check_coset_expansion(F: FunctorModel, K, Kp, sigma):
     corr = hecke_map(F, K, Kp, sigma)
     alphas = G.left_coset_reps(K, within=G.double_coset(Kp, sigma, K))
     for zeta in F.basis(K):
-        lhs = corr(zeta)  # already a function on X
-        rhs = {}
-        for a in alphas:
-            rhs = fn_add(rhs, F.hat_action(a, zeta))
-        if not fn_equal(lhs, rhs):
+        # corr(zeta) is already a function on X
+        if not fn_equal(corr(zeta), fn_sum(F.hat_action(a, zeta) for a in alphas)):
             return False, len(alphas)
     return True, len(alphas)
 
@@ -382,11 +356,8 @@ def check_convolution(F: FunctorModel, K, Kp, Kpp, sigma, tau):
             conv[g] = Fraction(count, len(Kp))
     checked = 0
     for zeta in F.basis(K):
-        lhs = second(first(zeta))
-        rhs = {}
-        for g, c in conv.items():
-            rhs = fn_add(rhs, fn_scale(F.hat_action(g, zeta), c))
-        if not fn_equal(lhs, rhs):
+        rhs = fn_sum(fn_scale(F.hat_action(g, zeta), c) for g, c in conv.items())
+        if not fn_equal(second(first(zeta)), rhs):
             return _mcert("hecke_convolution", F, False,
                           {"K": len(K), "Kp": len(Kp), "Kpp": len(Kpp)}, checked)
         checked += 1
@@ -442,9 +413,7 @@ def check_pushforward_well_defined(F, H, x, K, L):
     if not (L <= K and G.is_normal(L, K)):
         raise ValueError("need L normal in K")
     lhs = completed_pushforward(F, H, x, G.identity, K)
-    rhs = {}
-    for γ in G.left_coset_reps(L, within=K):
-        rhs = fn_add(rhs, completed_pushforward(F, H, x, γ, L))
+    rhs = fn_sum(completed_pushforward(F, H, x, γ, L) for γ in G.left_coset_reps(L, within=K))
     return fn_equal(lhs, rhs)
 
 
@@ -505,17 +474,17 @@ def model_from_generators(generators, modulus, which="G", name="matgrp"):
 
 def _build_model(G, B, which, name):
     """The model `which` of G, with Upsilon closed from the subgroup B."""
-    ctx = FiniteGroupCtx(G, upsilon_closure(G, [B]))
     if which not in ("G", "cosets", "two"):
         raise ValueError(f"unknown model {which!r}")
+    ups = upsilon_closure(G, [B])
     table = G.table
     if which == "G":
-        return FunctorModel(ctx, G.elements, G.mul, name=f"{name}/G")
+        return FunctorModel(G, ups, G.elements, G.mul, name=f"{name}/G")
     # right cosets Bg under right translation, each named by its least element
     canon = [min(table[b][g] for b in B) for g in G.elements]
     cosets = sorted(set(canon))
     if which == "cosets":
-        return FunctorModel(ctx, cosets, lambda x, g: canon[table[x][g]],
+        return FunctorModel(G, ups, cosets, lambda x, g: canon[table[x][g]],
                             name=f"{name}/cosets")
 
     def act2(x, g):
@@ -523,7 +492,7 @@ def _build_model(G, B, which, name):
         return (tag, table[v][g] if tag == "g" else canon[table[v][g]])
 
     points = [("g", g) for g in G.elements] + [("c", x) for x in cosets]
-    return FunctorModel(ctx, points, act2, name=f"{name}/two")
+    return FunctorModel(G, ups, points, act2, name=f"{name}/two")
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_criterion_09_mackey_engine():
     for name, model, samples in combos:
         F = mackey.catalog_model(name, model)
         G = F.group
-        levels = list(F.ctx.upsilon)
+        levels = list(F.upsilon)
         cert = mackey.check_c_axioms(F, samples, rng)
         ok = ok and cert["pass"]
         counts["c"] += cert["cases_checked"]

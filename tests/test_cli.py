@@ -424,6 +424,32 @@ def test_mackey_generator_file_echoes_its_group(tmp_path):
     assert cert["results"]["c_axioms"]["group"] == "GL2F3-file"
 
 
+# sha256 of generator-file certificates: the catalog goldens never reach
+# `model_from_generators`, which builds these models
+GENERATOR_FILES = {
+    "GL1mod4": {"modulus": 4, "name": "GL1mod4", "generators": [[[3]]]},
+    "GL2F3-file": {"modulus": 3, "name": "GL2F3-file",
+                   "generators": [[[1, 1], [0, 1]], [[0, 2], [1, 0]]]},
+}
+GENERATOR_FILE_DIGESTS = {
+    ("GL1mod4", "G", 20): "f28f60be666cfe4ae6a54ce91991162fba2f0501102806969c5cb4f7dec03381",
+    ("GL2F3-file", "G", 4): "bd85e74b4f218837db08e617bd51741d531a796d732bc7b841ca552fbba785de",
+    ("GL2F3-file", "cosets", 4): "dbd32ad2cabf5330dcdf050c3d92cca8556bfc95aff9522baedb82495ac15158",
+    ("GL2F3-file", "two", 4): "bd3c9f9b1f1b6988ce65bf527841cf4e1900b9ad438f238f43a7704879f0c8ef",
+}
+
+
+@pytest.mark.parametrize("group,model,samples", sorted(GENERATOR_FILE_DIGESTS))
+def test_mackey_generator_file_certificate_digest(tmp_path, group, model, samples):
+    gen_file = tmp_path / "gens.json"
+    gen_file.write_text(json.dumps(GENERATOR_FILES[group]))
+    code, _ = run_inproc(["mackey-test", "--generator-file", str(gen_file), "--model", model,
+                          "--samples", str(samples)], tmp_path)
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "cert.json").read_bytes()).hexdigest()
+    assert digest == GENERATOR_FILE_DIGESTS[group, model, samples]
+
+
 def test_unknown_group_is_usage_error(tmp_path):
     out = tmp_path / "x.json"
     proc = run_cli(["mackey-test", "--group", "S5", "--out", str(out)])

@@ -13,7 +13,7 @@ from tamenorm.fingroup import (
     catalog_group,
     matrix_group_mod,
 )
-from tamenorm.mackey import FiniteGroupCtx, FunctorModel, upsilon_closure
+from tamenorm.mackey import FunctorModel, upsilon_closure
 
 # a group as a --generator-file would give it: SL_2(Z/4), order 48
 FILE_GENS = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
@@ -139,8 +139,8 @@ def test_build_multiplies_one_column_per_generator(elements, mul, identity):
 
 def test_functor_model_rejects_a_left_action():
     G, B = catalog_group("S3")
-    ctx = FiniteGroupCtx(G, upsilon_closure(G, [B]))
+    ups = upsilon_closure(G, [B])
     with pytest.raises(ValueError, match="right action"):
-        FunctorModel(ctx, G.elements, lambda x, g: G.mul(g, x))
+        FunctorModel(G, ups, G.elements, lambda x, g: G.mul(g, x))
     with pytest.raises(ValueError, match="identity"):
-        FunctorModel(ctx, G.elements, lambda x, g: G.mul(x, G.elements[1]))
+        FunctorModel(G, ups, G.elements, lambda x, g: G.mul(x, G.elements[1]))

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from tamenorm.fingroup import CATALOG_NAMES, catalog_group
 from tamenorm.mackey import (
-    FiniteGroupCtx,
     FunctorModel,
     PadicEndo,
     check_c_axioms,
@@ -32,30 +31,30 @@ from tamenorm.matrices import mat_mul_modq
 def build_model(name, which="G"):
     G, B = catalog_group(name)
     ups = upsilon_closure(G, [B])
-    ctx = FiniteGroupCtx(G, ups)
+
+    # right cosets Bg with right translation; canonical rep = min element
+    def canon(g):
+        return min(G.mul(b, g) for b in B)
+
     if which == "G":
         points = G.elements
         act = G.mul
     elif which == "cosets":
-        # right cosets Bg with right translation; canonical rep = min element
-        def canon(g):
-            return min(G.mul(b, g) for b in B)
-
         points = sorted({canon(g) for g in G.elements})
 
         def act(x, g):
             return canon(G.mul(x, g))
     else:  # two orbits: the group and the coset space, disjointly
         inner = build_model(name, "cosets")
-        points = [("g", g) for g in G.elements] + [("c", x) for x in inner.points]
+        points = [("g", g) for g in G.elements] + [("c", x) for x in inner.labels]
 
         def act(x, g):
             tag, v = x
             if tag == "g":
                 return ("g", G.mul(v, g))
-            return ("c", inner.act(v, g))
+            return ("c", canon(G.mul(v, g)))
 
-    return FunctorModel(ctx, points, act, name=f"{name}/{which}")
+    return FunctorModel(G, ups, points, act, name=f"{name}/{which}")
 
 
 @pytest.fixture(scope="module")
@@ -66,15 +65,15 @@ def s3_model():
 def test_upsilon_closure_validates():
     G, B = catalog_group("S3")
     ups = upsilon_closure(G, [B])
-    ctx = FiniteGroupCtx(G, ups)
-    assert ctx.has_level(frozenset({G.identity}))
-    assert ctx.has_level(frozenset(G.elements))
+    F = FunctorModel(G, ups, G.elements, G.mul)
+    assert frozenset({G.identity}) in F.upsilon
+    assert frozenset(G.elements) in F.upsilon
 
 
 def test_upsilon_closure_rejects_missing_trivial():
     G, B = catalog_group("S3")
     with pytest.raises(ValueError):
-        FiniteGroupCtx(G, [frozenset(G.elements)])
+        FunctorModel(G, [frozenset(G.elements)], G.elements, G.mul)
 
 
 def test_upsilon_rejects_missing_conjugate():
@@ -83,7 +82,7 @@ def test_upsilon_rejects_missing_conjugate():
     # sees that <(13)> and <(23)> are missing
     G, B = catalog_group("S3")
     with pytest.raises(ValueError, match="conjugation"):
-        FiniteGroupCtx(G, [frozenset({G.identity}), B])
+        FunctorModel(G, [frozenset({G.identity}), B], G.elements, G.mul)
 
 
 def test_is_invariant(s3_model):
@@ -99,7 +98,7 @@ def test_galois_axiom_s3_a3(s3_model):
     G, _ = catalog_group("S3")
     A3 = G.generate([G.index[(1, 2, 0)]])
     ups = upsilon_closure(G, [A3])
-    F = FunctorModel(FiniteGroupCtx(G, ups), G.elements, G.mul, name="S3/G")
+    F = FunctorModel(G, ups, G.elements, G.mul, name="S3/G")
     cert = check_galois_axiom(F, frozenset(G.elements), A3)
     assert cert["pass"] and cert["index"] == 2
 
@@ -139,6 +138,27 @@ def test_cartesian_collapses_at_equal_levels():
     assert cert["pass"] and cert["gammas"] == 1
 
 
+def test_cartesian_square_sums_its_pieces_in_one_pass(monkeypatch):
+    # L = L' = {1} in K = G: every gamma in G is its own double coset and every
+    # piece is one point, so a running sum cleaned after each piece would hand
+    # |gammas|^2 / 2 entries per basis vector to _fn_clean; one pass hands O(|gammas|)
+    F = mackey.catalog_model("GL2F3", "G")
+    G = F.group
+    e = frozenset({G.identity})
+    real = mackey._fn_clean
+    cleaned = []
+
+    def counted(d):
+        cleaned.append(len(d))
+        return real(d)
+
+    monkeypatch.setattr(mackey, "_fn_clean", counted)
+    cert = check_cartesian_axiom(F, frozenset(G.elements), e, e)
+    assert cert["pass"] and cert["gammas"] == len(G)
+    assert cert["cases_checked"] == len(F.basis(e)) == len(G)
+    assert sum(cleaned) <= 10 * cert["gammas"] * cert["cases_checked"]
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 @pytest.mark.parametrize("which", ["G", "cosets", "two"])
 def test_axiom_battery_randomized(name, which):
@@ -147,7 +167,7 @@ def test_axiom_battery_randomized(name, which):
     rng = random.Random(f"{name}:{which}")
     cert = check_c_axioms(F, 12, rng)
     assert cert["pass"], cert
-    levels = list(F.ctx.upsilon)
+    levels = list(F.upsilon)
     for _ in range(6):
         K = levels[rng.randrange(len(levels))]
         subs = [L for L in levels if L <= K]
@@ -287,7 +307,7 @@ def test_pushforward_equivariance_randomized():
         F = build_model(name, "G")
         G, B = catalog_group(name)
         H = frozenset(G.elements)
-        levels = [L for L in F.ctx.upsilon]
+        levels = [L for L in F.upsilon]
         for _ in range(20):
             K = levels[rng.randrange(len(levels))]
             g1 = G.elements[rng.randrange(len(G))]
@@ -306,7 +326,7 @@ def test_pushforward_proper_subgroup_equivariance():
     rng = random.Random(23)
     hs = sorted(H)
     for _ in range(10):
-        K = list(F.ctx.upsilon)[rng.randrange(len(F.ctx.upsilon))]
+        K = list(F.upsilon)[rng.randrange(len(F.upsilon))]
         g1 = G.elements[rng.randrange(len(G))]
         h = hs[rng.randrange(len(hs))]
         g2 = G.elements[rng.randrange(len(G))]

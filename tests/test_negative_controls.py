@@ -59,9 +59,20 @@ def test_mackey_fails_on_perturbed_volume(tmp_path, monkeypatch):
     from fractions import Fraction
 
     monkeypatch.setattr(mackey, "vol", lambda U, G: Fraction(len(U) + 1, len(G)))
+    calls = []
+    for name in ("check_pushforward_well_defined", "check_pushforward_equivariance",
+                 "check_finite_level_diagram"):
+        def counted(*args, _real=getattr(mackey, name)):
+            calls.append(None)
+            return _real(*args)
+
+        monkeypatch.setattr(mackey, name, counted)
     code, cert = run(["mackey-test", "--group", "S3", "--samples", "10"], tmp_path)
     assert code == 1
-    assert not cert["results"]["completed_pushforward"]["pass"]
+    push = cert["results"]["completed_pushforward"]
+    assert not push["pass"]
+    # every drawn case is checked, also after the first failure
+    assert len(calls) == push["cases_checked"] == 21
 
 
 def test_lfactor_fails_on_perturbed_polynomial(tmp_path, monkeypatch):
