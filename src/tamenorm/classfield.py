@@ -1,9 +1,9 @@
 """Ring class groups of imaginary quadratic orders via binary quadratic forms.
 
-Classes of primitive reduced forms of discriminant d_E m^2 realise
-Pic(O_m) = Gal(E[m]/E).  The group law is Gauss composition; the tests
-cross-check it against composition by ideal multiplication, an oracle of
-their own.  The norm map between conductors extends ideals
+A form a x^2 + b xy + c y^2 is the tuple (a, b, c).  Classes of primitive
+reduced forms of discriminant d_E m^2 realise Pic(O_m) = Gal(E[m]/E).  The
+group law is Gauss composition; the tests cross-check it against
+composition by ideal multiplication, an oracle of their own.  The norm map between conductors extends ideals
 (`ideal_extension_form`): the ideal of a form, as a 2 x 2 HNF in the maximal
 order's coordinates (1, omega_E), times the smaller order, read back as a
 reduced form.
@@ -65,41 +65,21 @@ def _squarefree(n):
     return True
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
-    """A primitive positive definite binary quadratic form a x^2 + b xy + c y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.discriminant() >= 0:
-            raise ValueError("discriminant must be negative")
-        if self.a <= 0:
-            raise ValueError("need a > 0")
-        if gcd(gcd(self.a, self.b), self.c) != 1:
-            raise ValueError("form must be primitive")
-
-    def discriminant(self):
-        return self.b * self.b - 4 * self.a * self.c
-
-    def inverse(self):
-        return reduce_form(QuadForm(self.a, -self.b, self.c))
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c)
-
-
 def principal_form(D):
     k = D % 2
-    return QuadForm(1, k, (k * k - D) // 4)
+    return (1, k, (k * k - D) // 4)
+
+
+def form_inverse(f):
+    """The reduced form of the inverse class, the class of (a, -b, c)."""
+    a, b, c = f
+    return reduce_form((a, -b, c))
 
 
 def reduce_form(f):
     """The canonical reduced representative of the class of f."""
-    a, b, c = f.a, f.b, f.c
-    D = f.discriminant()
+    a, b, c = f
+    D = b * b - 4 * a * c
     while True:
         # normalise b into (-a, a]
         r = b % (2 * a)
@@ -114,7 +94,7 @@ def reduce_form(f):
         if a == c and b < 0:
             b = -b
         break
-    return QuadForm(a, b, c)
+    return a, b, c
 
 
 def _solve_linear_mod(a, b, m):
@@ -129,34 +109,30 @@ def _solve_linear_mod(a, b, m):
 
 def compose(f, g):
     """Gauss composition of two forms of the same discriminant (reduced output)."""
-    if f.discriminant() != g.discriminant():
+    a1, b1, c1 = f
+    a2, b2, c2 = g
+    if b1 * b1 - 4 * a1 * c1 != b2 * b2 - 4 * a2 * c2:
         raise ValueError("forms must share a discriminant")
-    a1, b1, c1 = f.as_tuple()
-    a2, b2, c2 = g.as_tuple()
     s = (b1 + b2) // 2
     h = (b2 - b1) // 2
     w = gcd(gcd(a1, a2), s)
-    j = w
     sA = a1 // w
     t = a2 // w
     u = s // w
     # mu solves t u mu = h u + sA c1 (mod sA t); then lift along the modulus
     mu, mod1 = _solve_linear_mod(t * u, h * u + sA * c1, sA * t)
-    if sA > 1:
-        lam, _ = _solve_linear_mod((t * mod1) % sA, (h - t * mu) % sA, sA)
-    else:
-        lam = 0
+    lam, _ = _solve_linear_mod((t * mod1) % sA, (h - t * mu) % sA, sA)
     k = mu + mod1 * lam
     l = (k * t - h) // sA
     m_ = (t * u * k - h * u - c1 * sA) // (sA * t)
     A = sA * t
-    B = j * u - (k * t + l * sA)
-    C = k * l - j * m_
-    return reduce_form(QuadForm(A, B, C))
+    B = w * u - (k * t + l * sA)
+    C = k * l - w * m_
+    return reduce_form((A, B, C))
 
 
 def reduced_forms(D):
-    """All primitive reduced forms of discriminant D < 0."""
+    """All primitive reduced forms of discriminant D < 0, in ascending order."""
     out = []
     a = 1
     while 3 * a * a <= -D:
@@ -170,9 +146,9 @@ def reduced_forms(D):
                 continue
             if gcd(gcd(a, b), c) != 1:
                 continue
-            out.append(QuadForm(a, b, c))
+            out.append((a, b, c))
         a += 1
-    return sorted(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +177,9 @@ def form_to_ideal(f, d_E, cond):
     (a, b, c) of discriminant d_E cond^2.
     """
     sigma = abs(d_E) % 2
-    e = (-f.b - cond * sigma) // 2
-    return [(f.a, 0), (e, cond)]
+    a, b, _ = f
+    e = (-b - cond * sigma) // 2
+    return [(a, 0), (e, cond)]
 
 
 def _ideal_hnf(gens):
@@ -231,7 +208,7 @@ def _ideal_to_form(gens, d_E, cond):
     b %= 2 * x
     c4 = b * b - D
     assert c4 % (4 * x) == 0
-    return reduce_form(QuadForm(x, b, c4 // (4 * x)))
+    return reduce_form((x, b, c4 // (4 * x)))
 
 
 def ideal_extension_form(f, d_E, cond_big, cond_small):
@@ -249,9 +226,12 @@ def ideal_extension_form(f, d_E, cond_big, cond_small):
 class FormClassGroup(FiniteGroup):
     """Pic(O_m) for an imaginary quadratic order, on its reduced forms.
 
-    The classes are the reduced forms in (a, b, c) order: `labels[i]` is the
-    form of class i, `index` maps a reduced form to its class, and the group
-    law is a lookup in the Cayley table of Gauss composition.
+    The classes are the reduced forms, (a, b, c) tuples in ascending order:
+    `labels[i]` is the form of class i, `index` maps a reduced form to its
+    class, and the group law is a lookup in the Cayley table of Gauss
+    composition.  Forms are validated only here, through (d_E, conductor);
+    the closure check of `FiniteGroup` rejects any composition that is not
+    one of the reduced forms.
     """
 
     def __init__(self, d_E, conductor):
@@ -265,7 +245,7 @@ class FormClassGroup(FiniteGroup):
         self.d_E = d_E
         self.conductor = conductor
         self.discriminant = D
-        super().__init__(reduced_forms(D), compose, QuadForm.inverse, principal_form(D),
+        super().__init__(reduced_forms(D), compose, form_inverse, principal_form(D),
                          f"Pic(D={D})")
 
     @property
@@ -334,7 +314,7 @@ class FormClassGroup(FiniteGroup):
             "conductor": self.conductor,
             "discriminant": self.discriminant,
             "order": self.order,
-            "forms": [list(f.as_tuple()) for f in self.labels],
+            "forms": [list(f) for f in self.labels],
             "structure": self.structure(),
             "class_number_certificate": self.class_number_formula_certificate(),
             "frobenius_orientation": "prime form = Art0(ell) = geometric Frobenius",
@@ -378,8 +358,7 @@ def frobenius_class(cl, ell):
     D = cl.discriminant
     for b in range(2 * ell):
         if (b * b - D) % (4 * ell) == 0:
-            f = reduce_form(QuadForm(ell, b, (b * b - D) // (4 * ell)))
-            return f
+            return reduce_form((ell, b, (b * b - D) // (4 * ell)))
     raise ArithmeticError("no prime form found (ell should be split)")
 
 

@@ -245,7 +245,7 @@ def tame_group_algebra_check(cl, sp):
         {"per_chi": [c for c in per_chi if not c["pass"]], "fourier_inversion": recon_ok},
         d_E=cl.d_E, conductor=cl.conductor, ell=ell, n=sp.n,
         frobenius_orientation="prime form = geometric Frobenius = Art0(ell)",
-        frobenius_class=list(fr.as_tuple()), per_chi=per_chi, fourier_inversion=recon_ok)
+        frobenius_class=list(fr), per_chi=per_chi, fourier_inversion=recon_ok)
 
 
 def big_level_chi_decomposition(cl_big, cl_small, mapping, sp):

@@ -148,8 +148,7 @@ class FunctorModel:
     def is_invariant(self, f, K):
         f = _fn_clean(f)
         columns = [self._moves[k] for k in K]
-        for i in f if len(f) < len(self.points) else self.points:
-            v = f.get(i, 0)
+        for i, v in f.items():
             if any(f.get(col[i], 0) != v for col in columns):
                 return False
         return True

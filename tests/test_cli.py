@@ -314,6 +314,7 @@ def test_classgroup_above_order_cap_is_config_error(tmp_path, capsys):
 CLASSGROUP_DIGESTS = {
     (-191, 7): "11a989258a420d3c85914a348334417b33da1cafae794b7a5fe57a8b74bc53ef",
     (-1199, 8): "10d24614eb54e6fe45a2330c9501773bad140917d13781d6012f38ddbe7f4631",
+    (-999815, 1): "ee781e8c1b4a05ebf76221f5d2deffbb0158249e9f0b262941c986a3babc698c",
 }
 
 
@@ -325,6 +326,16 @@ def test_classgroup_certificate_digest(tmp_path, disc, conductor):
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == CLASSGROUP_DIGESTS[disc, conductor]
+
+
+def test_tower_certificate_digest_at_1000_classes(tmp_path):
+    # h = 1000 at conductor 3, the class-group order cap
+    out = tmp_path / "x.json"
+    proc = run_cli(["tower", "--disc", "-108911", "--m", "1", "--ell", "3",
+                    "--out", str(out)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "a3f79231e2e8985fd4590b0e21ee46b4771f4406cf4612f2e24f6d95c89724a5"
 
 
 def test_norm_relation_certificate_digest_at_311_classes(tmp_path):
