@@ -144,7 +144,7 @@ def run_mackey_test(args):
         K = levels[rng.randrange(len(levels))]
         normals = [L for L in levels if L <= K and G.is_normal(L, K)]
         L = normals[rng.randrange(len(normals))]
-        x = dict.fromkeys(F.points, Fraction(1))
+        x = dict.fromkeys(F.points, 1)
         g1 = G.elements[rng.randrange(len(G))]
         h = G.elements[rng.randrange(len(G))]
         g2 = G.elements[rng.randrange(len(G))]

@@ -11,8 +11,10 @@ on orbit-indicator bases.
 The completed pushforward is built for a subgroup H <= G acting on the same
 set, with Vol(U) = |U| / |G|; in this finite model the completion M-hat
 collapses to M({1}) = C(X), which is recorded in every axiom report (the
-genuinely infinite direct limit is out of reach here).  Each axiom report is
-a `trc.check` certificate with its case count, model and group.
+genuinely infinite direct limit is out of reach here).  It is computed at
+the trivial level U = {1} unless a caller passes a U, which is then checked.
+Each axiom report is a `trc.check` certificate with its case count, model
+and group.
 
 The ordinary projector lives at the end: the idempotent lim A^{k!} of a
 matrix over Z/p^N, with certified idempotency, commutation, invertibility on
@@ -54,8 +56,6 @@ def upsilon_closure(group: FiniteGroup, seeds):
 
 # ---------------------------------------------------------------------------
 # the function-space model
-
-ONE = Fraction(1)
 
 
 def _fn_clean(d):
@@ -143,7 +143,7 @@ class FunctorModel:
 
     def basis(self, K):
         """Orbit indicator functions spanning M(K)."""
-        return [dict.fromkeys(orb, ONE) for orb in self.orbits(K)]
+        return [dict.fromkeys(orb, 1) for orb in self.orbits(K)]
 
     def is_invariant(self, f, K):
         f = _fn_clean(f)
@@ -370,39 +370,25 @@ def vol(U, G):
     return Fraction(len(U), len(G))
 
 
-def max_aux_level(F: FunctorModel, H, x, g, K):
-    """The largest U <= gKg^{-1} cap H fixing x."""
-    G = F.group
-    cap = G.conjugate(g, frozenset(K)) & frozenset(H)
-    fixers = frozenset(
-        u for u in cap
-        if fn_equal(F.hat_action(u, x), x)
-    )
-    assert G.is_subgroup(fixers)
-    return fixers
-
-
 def completed_pushforward(F: FunctorModel, H, x, g, K, U=None):
     """iota-hat(x (x) ch(gK)) = Vol(U) j_K [g]_* iota_{U,gKg^{-1},*}(x_U).
 
     U may be any level below gKg^{-1} cap H fixing x; the result does not
     depend on the choice (Galois descent), which tests exercise explicitly.
+    With no U the trivial level {1} is used, which fixes every x; a U the
+    caller passes is checked.  By functoriality [g]_* pr_* is the single
+    pushforward [g]_*: M(U) -> M(K).
     """
     G = F.group
-    K = frozenset(K)
-    H = frozenset(H)
     if U is None:
-        U = max_aux_level(F, H, x, g, K)
-    U = frozenset(U)
-    cap = G.conjugate(g, K) & H
-    if not U <= cap:
-        raise ValueError("U must lie in gKg^{-1} cap H")
-    if not F.is_invariant(x, U):
-        raise ValueError("x is not U-invariant")
-    gKg = G.conjugate(g, K)
-    inner = F.pr_push(U, gKg)(x)
-    moved = F.pushforward(g, gKg, K)(inner)
-    return fn_scale(moved, vol(U, G))
+        U = frozenset({G.identity})
+    else:
+        U = frozenset(U)
+        if not U <= G.conjugate(g, K) & frozenset(H):
+            raise ValueError("U must lie in gKg^{-1} cap H")
+        if not F.is_invariant(x, U):
+            raise ValueError("x is not U-invariant")
+    return fn_scale(F.pushforward(g, U, K)(x), vol(U, G))
 
 
 def check_pushforward_well_defined(F, H, x, K, L):

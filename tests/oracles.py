@@ -52,6 +52,10 @@ generators and their inverses by full matrix products.
 the schoolbook `ref_poly_mul`, the route that
 tamenorm.lfactor.frob_poly_from_satake replaced by one linear-factor
 recurrence for P.
+`ref_max_aux_level` is the largest level U <= gKg^{-1} cap H fixing x,
+found by translating x once per element of the cap: the level that
+tamenorm.mackey.completed_pushforward searched for on every call before it
+took the trivial level {1}.
 """
 
 from collections import namedtuple
@@ -64,6 +68,7 @@ from tamenorm import classfield, hecke, lattice, lfactor, trc
 from tamenorm.exactnum import ExactScalar, Poly
 from tamenorm.classfield import _elt_mul, _ideal_to_form, form_to_ideal
 from tamenorm.lattice import LatticeClass, relative_position
+from tamenorm.mackey import FunctorModel, fn_equal
 from tamenorm.matrices import (
     all_matrices_mod,
     ell_normalize,
@@ -1155,3 +1160,19 @@ def ref_class_number_table(bound, primitive=True):
                 c += 1
         a += 1
     return h
+
+
+# ---------------------------------------------------------------------------
+# the largest auxiliary level of a completed pushforward
+
+
+def ref_max_aux_level(F: FunctorModel, H, x, g, K):
+    """The largest U <= gKg^{-1} cap H fixing x."""
+    G = F.group
+    cap = G.conjugate(g, frozenset(K)) & frozenset(H)
+    fixers = frozenset(
+        u for u in cap
+        if fn_equal(F.hat_action(u, x), x)
+    )
+    assert G.is_subgroup(fixers)
+    return fixers

@@ -441,12 +441,15 @@ GENERATOR_FILES = {
     "GL1mod4": {"modulus": 4, "name": "GL1mod4", "generators": [[[3]]]},
     "GL2F3-file": {"modulus": 3, "name": "GL2F3-file",
                    "generators": [[[1, 1], [0, 1]], [[0, 2], [1, 0]]]},
+    "GL2F5": {"modulus": 5, "name": "GL2F5",
+              "generators": [[[1, 1], [0, 1]], [[2, 0], [0, 1]], [[0, 4], [1, 0]]]},
 }
 GENERATOR_FILE_DIGESTS = {
     ("GL1mod4", "G", 20): "f28f60be666cfe4ae6a54ce91991162fba2f0501102806969c5cb4f7dec03381",
     ("GL2F3-file", "G", 4): "bd85e74b4f218837db08e617bd51741d531a796d732bc7b841ca552fbba785de",
     ("GL2F3-file", "cosets", 4): "dbd32ad2cabf5330dcdf050c3d92cca8556bfc95aff9522baedb82495ac15158",
     ("GL2F3-file", "two", 4): "bd3c9f9b1f1b6988ce65bf527841cf4e1900b9ad438f238f43a7704879f0c8ef",
+    ("GL2F5", "cosets", 1): "ee59397d43d5e9a963288f53a317d54f385b8d744510845e1b1df0a445da4f8b",
 }
 
 

@@ -18,7 +18,6 @@ from tamenorm.mackey import (
     check_pushforward_well_defined,
     completed_pushforward,
     hecke_map,
-    max_aux_level,
     ordinary_projector,
     ordinary_projector_perturbed_route,
     upsilon_closure,
@@ -26,6 +25,8 @@ from tamenorm.mackey import (
 )
 from tamenorm import mackey
 from tamenorm.matrices import mat_mul_modq
+
+from oracles import ref_max_aux_level
 
 
 def build_model(name, which="G"):
@@ -280,12 +281,57 @@ def test_pushforward_u_independence_three_nested_levels():
     g = G.index[(1, 2, 0, 3)]
     K = frozenset(G.elements)
     auto = completed_pushforward(F, H, x, g, K)
-    Umax = max_aux_level(F, H, x, g, K)
+    Umax = ref_max_aux_level(F, H, x, g, K)
     middle = G.generate([G.index[(1, 0, 2, 3)]])  # order-2 subgroup strictly between
     assert frozenset({G.identity}) < middle < Umax
     for U in [Umax, middle, frozenset({G.identity})]:
         got = completed_pushforward(F, H, x, g, K, U=U)
         assert fn_equal(got, auto)
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "S4"])
+@pytest.mark.parametrize("which", ["G", "cosets", "two"])
+def test_pushforward_u_independence_every_admissible_level(name, which):
+    # x is an orbit indicator of a level V, fixed by V but not by all of G, so
+    # the admissible levels below gKg^{-1} cap H form a proper family
+    F = build_model(name, which)
+    G = F.group
+    H = frozenset(G.elements)
+    rng = random.Random(29)
+    nontrivial = 0
+    for V in F.upsilon:
+        if len(V) in (1, len(G)):
+            continue
+        x = next((z for z in F.basis(V)
+                  if ref_max_aux_level(F, H, z, G.identity, H) != H), None)
+        if x is None:
+            continue
+        assert V <= ref_max_aux_level(F, H, x, G.identity, H)
+        for _ in range(4):
+            K = F.upsilon[rng.randrange(len(F.upsilon))]
+            g = G.elements[rng.randrange(len(G))]
+            want = completed_pushforward(F, H, x, g, K)
+            Umax = ref_max_aux_level(F, H, x, g, K)
+            for U in F.upsilon:
+                if U <= Umax:
+                    assert fn_equal(completed_pushforward(F, H, x, g, K, U=U), want)
+                    nontrivial += len(U) > 1
+    assert nontrivial
+
+
+def test_pushforward_rejects_a_bad_level():
+    F = build_model("S3", "G")
+    G, B = catalog_group("S3")
+    A3 = G.generate([G.index[(1, 2, 0)]])
+    H = frozenset(G.elements)
+    point = {G.identity: 1}  # fixed only by {1}
+    with pytest.raises(ValueError, match="not U-invariant"):
+        completed_pushforward(F, H, point, G.identity, H, U=B)
+    x = dict.fromkeys(G.elements, 1)  # fixed by everything
+    with pytest.raises(ValueError, match="must lie in"):
+        completed_pushforward(F, H, x, G.identity, B, U=A3)
+    with pytest.raises(ValueError, match="must lie in"):
+        completed_pushforward(F, B, x, G.identity, H, U=A3)
 
 
 def test_pushforward_identity_recovers_averaging():
@@ -295,8 +341,8 @@ def test_pushforward_identity_recovers_averaging():
     H = frozenset(G.elements)
     x = {g: Fraction(1) for g in G.elements}
     out = completed_pushforward(F, H, x, G.identity, B)
-    # constant function: pushforward to level B then embed; total mass scales
-    # by Vol(U) * [gKg^{-1} : U] with U = K here, so the value is Vol(B)*1
+    # constant function: each value is a sum over the |K| translates at the
+    # default level U = {1}, scaled by Vol({1}), so it is |K| / |G| = Vol(B)
     want = {g: Fraction(len(B), len(G)) for g in G.elements}
     assert fn_equal(out, want)
 

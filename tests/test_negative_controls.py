@@ -62,9 +62,10 @@ def test_mackey_fails_on_perturbed_volume(tmp_path, monkeypatch):
     calls = []
     for name in ("check_pushforward_well_defined", "check_pushforward_equivariance",
                  "check_finite_level_diagram"):
-        def counted(*args, _real=getattr(mackey, name)):
-            calls.append(None)
-            return _real(*args)
+        def counted(*args, _name=name, _real=getattr(mackey, name)):
+            ok = _real(*args)
+            calls.append((_name, ok))
+            return ok
 
         monkeypatch.setattr(mackey, name, counted)
     code, cert = run(["mackey-test", "--group", "S3", "--samples", "10"], tmp_path)
@@ -73,6 +74,8 @@ def test_mackey_fails_on_perturbed_volume(tmp_path, monkeypatch):
     assert not push["pass"]
     # every drawn case is checked, also after the first failure
     assert len(calls) == push["cases_checked"] == 21
+    # the finite-level square compares two levels, so it sees the volume
+    assert ("check_finite_level_diagram", False) in calls
 
 
 def test_lfactor_fails_on_perturbed_polynomial(tmp_path, monkeypatch):
