@@ -6,7 +6,7 @@ Modules:
   exactnum   -- Q[s, z]/(s^2 - ell, Phi_k(z)) scalars and polynomials
   qcomb      -- Gaussian binomials, rank/chain counts, lambda/b coefficients
   lattice    -- the lattice poset, inclusion-exclusion and measure identities
-  hecke      -- U_m -> psi_m reduction, phi assembly, orbit/stabilizer, parahoric data
+  hecke      -- U_m -> psi_m reduction, phi assembly, orbit/stabilizer data
   lfactor    -- Frobenius polynomials, central L-values, group-algebra form
   fingroup   -- finite groups on Cayley tables: permutations, matrices over Z/N
   mackey     -- cohomology-functor axioms, Hecke maps, ordinary projector

@@ -14,14 +14,13 @@ certificate names the orientation explicitly.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt, lcm
 
 from . import trc
 from .fingroup import FiniteGroup
-from .matrices import BoundExceeded, hnf_rows, is_prime
+from .matrices import BoundExceeded, Value, hnf_rows, is_prime
 
 MAX_DISC = 10 ** 6  # largest |D| = |d_E| m^2 of a ring class group
 MAX_SWEEP = 10 ** 5  # largest bound of the class-number formula sweep
@@ -235,13 +234,14 @@ class FormClassGroup(FiniteGroup):
     """
 
     def __init__(self, d_E, conductor):
-        if not is_fundamental_discriminant(d_E):
-            raise ValueError(f"{d_E} is not a fundamental discriminant < 0")
-        if conductor < 1:
+        # conductor and |D| first: the squarefree test trial-divides up to sqrt|d_E|
+        if d_E < 0 and conductor < 1:
             raise ValueError("conductor must be >= 1")
         D = d_E * conductor * conductor
         if -D > MAX_DISC:
             raise ValueError(f"|D| = {-D} exceeds the bound {MAX_DISC}")
+        if not is_fundamental_discriminant(d_E):
+            raise ValueError(f"{d_E} is not a fundamental discriminant < 0")
         self.d_E = d_E
         self.conductor = conductor
         self.discriminant = D
@@ -406,14 +406,13 @@ def norm_map(cl_big, cl_small):
     return mapping, cert
 
 
-@dataclass(frozen=True)
-class TowerStep:
+class TowerStep(Value):
     """One split-prime step of the ring class tower, with the exact degree."""
 
-    d_E: int
-    m: int
-    ell: int
-    degree: int
+    __slots__ = ("d_E", "m", "ell", "degree")
+
+    def __init__(self, d_E, m, ell, degree):
+        self._init(d_E, m, ell, degree)
 
     @staticmethod
     def build(d_E, m, ell):

@@ -16,8 +16,9 @@ The members of X_n^{>=1} are the depth-1 sweep without Z^n; they all contain
 ell Z^n, so inclusion-exclusion reads their containments and joins off their
 subspaces of F_ell^n, as bitsets compared and intersected by AND (the HNF
 join by duality that this replaced is the test oracle `join` in
-tests/oracles.py).  The measure identity and the independent solve for the
-lambda coefficients share one count of the sweep per invariant.
+tests/oracles.py).  The measure identity reads one count of the sweep per
+invariant, which the tests' independent solve for the lambda coefficients
+(tests/lemma_checks.py) reuses.
 """
 
 from itertools import combinations_with_replacement, product
@@ -51,10 +52,6 @@ class LatticeClass:
         self.ell = ell
         self.n = n
         self.basis = basis  # trusted canonical form; use the constructors
-
-    @staticmethod
-    def standard(n, ell):
-        return LatticeClass(ell, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @staticmethod
     def from_rows(rows, ell):
@@ -446,25 +443,6 @@ def _invariant_counts(n, ell, depth):
             if contains(t_lattices[m], L):
                 within[m][nu] = within[m].get(nu, 0) + 1
     return total, within
-
-
-def solve_lambda_from_counts(n, ell):
-    """The unique lambda solving the counting identity at nu = t_1..t_n.
-
-    Independent route to the lambda coefficients: the system is triangular
-    because a sublattice of Lambda_{t_m} has index >= ell^m, so the stratum
-    nu = t_j only sees m <= j.  Its counts are those of the depth-1 sweep.
-    """
-    total, within = _invariant_counts(n, ell, 1)
-    lam = [0] * n
-    for j in range(1, n + 1):
-        nu = (1,) * j + (0,) * (n - j)
-        count = [w.get(nu, 0) for w in within]
-        rem = total[nu] - sum(lam[m] * count[m] for m in range(j - 1))
-        if rem % count[j - 1]:
-            raise ArithmeticError("counting system is not integrally solvable")
-        lam[j - 1] = rem // count[j - 1]
-    return lam
 
 
 def _check_request(n, ell, depth):

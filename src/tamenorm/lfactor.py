@@ -16,35 +16,30 @@ Frobenius or, when it is level-raising, at a generator of the norm kernel.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from . import classfield, trc
 from .exactnum import ExactScalar, Poly
-from .matrices import is_prime
+from .matrices import Value, is_prime
 
 
-@dataclass(frozen=True)
-class SatakeParams:
+class SatakeParams(Value):
     """Unitary-normalised Satake parameters: 2n roots of unity over prime ell."""
 
-    n: int
-    ell: int
-    alpha: tuple
+    __slots__ = ("n", "ell", "alpha")
 
-    def __post_init__(self):
-        if self.n < 1 or not is_prime(self.ell):
+    def __init__(self, n, ell, alpha):
+        self._init(n, ell, tuple(alpha))
+        if n < 1 or not is_prime(ell):
             raise ValueError("need n >= 1 and ell prime")
-        alpha = tuple(self.alpha)
-        if len(alpha) != 2 * self.n:
+        if len(self.alpha) != 2 * n:
             raise ValueError("need exactly 2n Satake parameters")
-        for a in alpha:
-            if a.ell != self.ell:
+        for a in self.alpha:
+            if a.ell != ell:
                 raise ValueError("parameters must live over the context prime")
             if a * a.conj() != 1:
                 raise ValueError("parameters must be unitary (alpha conj(alpha) = 1)")
-        object.__setattr__(self, "alpha", alpha)
 
     @staticmethod
     def from_root_exponents(n, ell, pairs):
@@ -53,34 +48,30 @@ class SatakeParams:
         return SatakeParams(n, ell, alpha)
 
 
-@dataclass(frozen=True)
-class FrobPoly:
+class FrobPoly(Value):
     """P_lambda and its central twist P(X) = P_lambda(ell^{-n} X)."""
 
-    n: int
-    ell: int
-    p_lambda: Poly
-    p_central: Poly
+    __slots__ = ("n", "ell", "p_lambda", "p_central")
 
-    def __post_init__(self):
-        for P in (self.p_lambda, self.p_central):
-            if P.degree != 2 * self.n:
+    def __init__(self, n, ell, p_lambda, p_central):
+        self._init(n, ell, p_lambda, p_central)
+        for P in (p_lambda, p_central):
+            if P.degree != 2 * n:
                 raise ValueError("Frobenius polynomial must have degree exactly 2n")
             if P.coeffs[0] != 1:
                 raise ValueError("Frobenius polynomial must have constant term 1")
 
 
-@dataclass(frozen=True)
-class CharacterValue:
+class CharacterValue(Value):
     """chi(ell) for a finite-order unramified character: a k-th root of unity."""
 
-    chi_ell: ExactScalar
-    order: int
+    __slots__ = ("chi_ell", "order")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, chi_ell, order):
+        self._init(chi_ell, order)
+        if order < 1:
             raise ValueError("order must be >= 1")
-        if self.chi_ell ** self.order != 1:
+        if chi_ell ** order != 1:
             raise ValueError("chi(ell)^order must equal 1 exactly")
 
     @staticmethod

@@ -22,12 +22,11 @@ the image and residual topological nilpotence on the complement, reported
 as the `trc.check` certificate "ordinary_projector".
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import trc
 from .fingroup import FiniteGroup
-from .matrices import is_prime, mat_mul_modq, mat_pow_modq
+from .matrices import Value, is_prime, mat_mul_modq, mat_pow_modq
 
 
 def upsilon_closure(group: FiniteGroup, seeds):
@@ -312,21 +311,6 @@ def hecke_map(F: FunctorModel, K, Kp, sigma):
     return lambda zeta: down(move(up(zeta)))
 
 
-def check_double_coset_dependence(F, K, Kp, sigma, rng):
-    """[K' sigma K] is unchanged when sigma moves to 4 random points of K' sigma K."""
-    G = F.group
-    base = hecke_map(F, K, Kp, sigma)
-    base_vals = [base(z) for z in F.basis(K)]
-    Kl, Kpl = sorted(K), sorted(Kp)
-    for _ in range(4):
-        σ2 = G.mul(G.mul(Kpl[rng.randrange(len(Kpl))], sigma), Kl[rng.randrange(len(Kl))])
-        other = hecke_map(F, K, Kp, σ2)
-        for z, want in zip(F.basis(K), base_vals):
-            if not fn_equal(other(z), want):
-                return False
-    return True
-
-
 def check_coset_expansion(F: FunctorModel, K, Kp, sigma):
     """Part (a): j_{K'} [K' sigma K] = sum over alpha with K' sigma K = |_| alpha K."""
     G = F.group
@@ -483,26 +467,20 @@ def _build_model(G, B, which, name):
 # ---------------------------------------------------------------------------
 # ordinary projector on p-adic matrices (truncated to Z/p^N)
 
-@dataclass(frozen=True)
-class PadicEndo:
+class PadicEndo(Value):
     """A d x d matrix over Z/p^N with exact residue entries."""
 
-    p: int
-    N: int
-    mat: tuple
+    __slots__ = ("p", "N", "mat")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
+    def __init__(self, p, N, mat):
+        if not is_prime(p):
             raise ValueError("p must be prime")
-        if self.N < 1:
+        if N < 1:
             raise ValueError("N must be >= 1")
-        d = len(self.mat)
-        if d > 12:
+        if len(mat) > 12:
             raise ValueError("dimension exceeds the configured bound")
-        q = self.p ** self.N
-        object.__setattr__(
-            self, "mat", tuple(tuple(x % q for x in row) for row in self.mat)
-        )
+        q = p ** N
+        self._init(p, N, tuple(tuple(x % q for x in row) for row in mat))
 
     @property
     def d(self):
@@ -600,19 +578,3 @@ def ordinary_projector(pe: PadicEndo):
     return B, trc.check("ordinary_projector", k is not None, failure,
                         stabilized_at=k, p=p, N=N, d=d, **certs)
 
-
-def ordinary_projector_perturbed_route(pe: PadicEndo, multiplier=2):
-    """Same limit along A^{c k!} for a fixed c >= 2; probes uniqueness of e.
-
-    Any scaled factorial sequence converges to the same idempotent, so a
-    disagreement with `ordinary_projector` would expose an iteration-order
-    dependence.
-    """
-    c = multiplier
-    if c < 1:
-        raise ValueError("multiplier must be >= 1")
-    q = pe.p ** pe.N
-    A = pe.mat
-    B, k, _certs = _stabilize(A, mat_pow_modq(A, c, q), mat_pow_modq(A, c - 1, q),
-                              pe.p, pe.N)
-    return B, {"stabilized_at": k, "pass": k is not None}

@@ -19,6 +19,39 @@ class BoundExceeded(ValueError):
     """A request beyond the documented desk-scale bounds."""
 
 
+class Value:
+    """Base of the immutable records: the fields are the subclass's
+    `__slots__`, set once in `__init__` by `_init` (in slot order), and
+    equality, hash and repr go by the field values."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # valuations
 

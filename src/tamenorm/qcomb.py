@@ -11,19 +11,17 @@ This convention reproduces lambda = (ell+1, -ell) at n = 2 and is validated
 against brute-force lattice enumeration (see module `lattice`).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .matrices import BoundExceeded, is_prime
+from .matrices import BoundExceeded, Value, is_prime
 
 MAX_DIGITS = 4300  # longest integer a certificate prints (Python's int -> str limit)
 _SIZE_LIMIT = 10 ** (2 * MAX_DIGITS)
 
 
-@dataclass(frozen=True)
-class QCombContext:
+class QCombContext(Value):
     """Rank parameter n >= 1 and prime ell; n need not be odd.
 
     The largest integer in the tables for (n, ell) has about
@@ -32,17 +30,17 @@ class QCombContext:
     bit count alone, before the power is formed.
     """
 
-    n: int
-    ell: int
+    __slots__ = ("n", "ell")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n, ell):
+        self._init(n, ell)
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not is_prime(self.ell):
-            raise ValueError(f"ell must be prime, got {self.ell}")
-        e = 3 * self.n * self.n
-        if e >= _SIZE_LIMIT.bit_length() or self.ell ** e >= _SIZE_LIMIT:
-            raise BoundExceeded(f"n = {self.n}, ell = {self.ell}: the coefficient "
+        if not is_prime(ell):
+            raise ValueError(f"ell must be prime, got {ell}")
+        e = 3 * n * n
+        if e >= _SIZE_LIMIT.bit_length() or ell ** e >= _SIZE_LIMIT:
+            raise BoundExceeded(f"n = {n}, ell = {ell}: the coefficient "
                                 f"tables exceed {MAX_DIGITS}-digit integers")
 
 
@@ -97,8 +95,7 @@ def lambda_coefficients(ctx):
     return out
 
 
-@dataclass
-class CoefficientTable:
+class CoefficientTable(Value):
     """All coefficients for one (n, ell), with pass/fail certificates.
 
     `c[m]` lists c_{0,m}..c_{m,m} for m = 0..n; `d[m]` lists D_{0,m}..D_{m-1,m}
@@ -107,14 +104,10 @@ class CoefficientTable:
     case.
     """
 
-    n: int
-    ell: int
-    lam: list
-    c: list
-    d: list
-    b: list
-    b_prime: list
-    certificates: dict
+    __slots__ = ("n", "ell", "lam", "c", "d", "b", "b_prime", "certificates")
+
+    def __init__(self, n, ell, lam, c, d, b, b_prime, certificates):
+        self._init(n, ell, lam, c, d, b, b_prime, certificates)
 
     def to_json_dict(self):
         return {

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -593,3 +594,66 @@ def test_seed_recorded_in_inputs(tmp_path):
         tmp_path,
     )
     assert cert["inputs"]["seed"] == 42
+
+
+# discriminants of 22 digits: trial division up to sqrt|d_E| would run for
+# hours, so the bound |D| <= MAX_DISC must be decided before any factoring
+HUGE_DISC_COMMANDS = {
+    "classgroup": ["classgroup", "--disc", "-1000000000000000000004"],
+    "tower": ["tower", "--disc", "-1000000000000000000007", "--ell", "2"],
+    "norm-relation": ["norm-relation", "--n", "1", "--ell", "2",
+                      "--disc", "-1000000000000000000007", "--alpha", "0:1", "0:1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_DISC_COMMANDS))
+def test_huge_disc_is_refused_before_any_factoring(tmp_path, capsys, monkeypatch, name):
+    real = classfield._squarefree
+
+    def bounded(n):
+        assert n <= classfield.MAX_DISC, f"_squarefree({n}) ran before the bound"
+        return real(n)
+
+    monkeypatch.setattr(classfield, "_squarefree", bounded)
+    out = tmp_path / "x.json"
+    assert cli.main([*HUGE_DISC_COMMANDS[name], "--out", str(out)]) == 2
+    assert f"exceeds the bound {classfield.MAX_DISC}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def run_bare(args):
+    """Run the CLI in a new interpreter without `site` (-S), so that only
+    tamenorm and what it imports are loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-S", *args], capture_output=True, text=True,
+                          timeout=120, env=env, preexec_fn=_cap_address_space)
+
+
+LAYERS = ("classfield", "exactnum", "fingroup", "hecke", "lattice", "lfactor", "mackey",
+          "matrices", "qcomb", "trc")
+
+
+def test_cli_import_loads_every_layer_and_no_idle_stdlib_module():
+    # random and csv are imported by the one command that uses each, and no
+    # layer uses dataclasses (which would bring in inspect)
+    proc = run_bare(["-c", "import sys, tamenorm.cli; print(*sorted(sys.modules))"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {f"tamenorm.{layer}" for layer in LAYERS} <= loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "random", "csv"}), loaded
+
+
+COEFFS_CSV = (b"r,b_r,a_r,index_K_V1r,nu_image_order\r\n0,6,6,1,1\r\n"
+              b"1,-18,-2,9,1\r\n2,12,2,6,1\r\n")
+
+
+@pytest.mark.parametrize("name", ["coeffs", "mackey-test"])
+def test_lazily_imported_commands_run_in_a_fresh_process(tmp_path, name):
+    # mackey-test needs random and coeffs --out needs csv, each imported
+    # inside the command
+    out = tmp_path / "cert.json"
+    proc = run_bare(["-m", "tamenorm.cli", *README_COMMANDS[name], "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN / f"readme_{name}.json").read_bytes()
+    if name == "coeffs":
+        assert (tmp_path / "cert.csv").read_bytes() == COEFFS_CSV

@@ -2,10 +2,11 @@ import hashlib
 import json
 
 import pytest
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+import lemma_checks
+from lemma_checks import flag_orbit_check, iwahori_coset_check
 from oracles import (
     rank_mod,
     ref_det,
@@ -27,8 +28,6 @@ from tamenorm.hecke import (
     HeckeContext,
     a_coefficients,
     assemble_phi,
-    flag_orbit_check,
-    iwahori_coset_check,
     orbit_stabilizer,
     reduce_um_to_psi,
     serialize_cosets,
@@ -138,8 +137,9 @@ def test_assemble_phi_names_a_non_integral_b(monkeypatch):
     real = qcomb.b_coefficients
 
     def fake(ctx):
-        table = real(ctx)
-        return replace(table, certificates={**table.certificates, "all_b_integral": False})
+        table = real(ctx)  # a fresh table: its certificates dict is this call's own
+        table.certificates["all_b_integral"] = False
+        return table
 
     monkeypatch.setattr(qcomb, "b_coefficients", fake)
     _, cert = assemble_phi(HeckeContext(2, 3))
@@ -283,7 +283,7 @@ def test_a_coefficients_makes_no_rref(monkeypatch):
         calls.append(1)
         return real(rows, p)
 
-    monkeypatch.setattr(hecke, "rref_mod", counted)
+    monkeypatch.setattr(hecke, "rref_mod", counted, raising=False)
     monkeypatch.setattr(hecke, "rank_mod", counted, raising=False)
     monkeypatch.setattr(matrices, "rref_mod", counted)
     hecke._rank_table.cache_clear()
@@ -358,7 +358,7 @@ def test_flag_orbit_grid(n, ell):
 
 def test_flag_orbit_rejects_short_orbit(monkeypatch):
     # without generators the orbit of [u] is the point itself, not |GL_1(F_3)| = 2
-    monkeypatch.setattr(hecke, "gl_generators", lambda n, ell: [])
+    monkeypatch.setattr(lemma_checks, "gl_generators", lambda n, ell: [])
     cert = flag_orbit_check(HeckeContext(1, 3))
     assert cert["stabilizer_is_diagonal"]
     assert cert["orbit_size"] == 1 and not cert["orbit_equals_gl_n"]
@@ -387,13 +387,11 @@ def test_iwahori_r1_p3_counted():
 
 def test_iwahori_modes_agree_at_p2():
     # the counted machinery must reproduce the explicit orders at p = 2
-    import tamenorm.hecke as H
-
     explicit = iwahori_coset_check(1, 2, 4)
-    preds = H._iwahori_mat_predicates(1, 2, 4)
+    preds = lemma_checks._iwahori_mat_predicates(1, 2, 4)
     for name, pred in preds.items():
-        shape = H._extract_shape(pred, 2, 4)
-        assert H._shape_order(*shape, 2, 4) == explicit["orders"][name], name
+        shape = lemma_checks._extract_shape(pred, 2, 4)
+        assert lemma_checks._shape_order(*shape, 2, 4) == explicit["orders"][name], name
 
 
 @pytest.mark.parametrize("p, N", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
@@ -404,7 +402,30 @@ def test_shape_order_counts_every_matrix(p, N):
         for gamma in range(N + 1):
             want = sum(1 for a, b, c, d in product(range(q), repeat=4)
                        if b % p ** beta == 0 and c % p ** gamma == 0 and (a * d - b * c) % p)
-            assert hecke._shape_order(beta, gamma, p, N) == want, (beta, gamma)
+            assert lemma_checks._shape_order(beta, gamma, p, N) == want, (beta, gamma)
+
+
+# sha256 of json.dumps(certificate, sort_keys=True) plus a newline per
+# configuration, computed when these checks still lived in tamenorm.hecke
+IWAHORI_CELLS = [(0, 2, 3), (1, 2, 4), (1, 3, 4), (2, 2, 6)]
+FLAG_CELLS = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
+
+
+def _digest(certs):
+    h = hashlib.sha256()
+    for cert in certs:
+        h.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_iwahori_certificates_are_pinned():
+    assert _digest(iwahori_coset_check(*cell) for cell in IWAHORI_CELLS) == (
+        "e18508a2267c883d233c23c0e5dc1799d0a3a01939770a01615392885da3a0d2")
+
+
+def test_flag_orbit_certificates_are_pinned():
+    assert _digest(flag_orbit_check(HeckeContext(*cell)) for cell in FLAG_CELLS) == (
+        "ae567196800c2c4ac0a8cb919fad01401c76e48ac4b7b7bff70e9bb1f715082f")
 
 
 def test_iwahori_needs_depth():

@@ -20,6 +20,7 @@ from oracles import (
     ref_verify_inclusion_exclusion,
     smith_ell_exponents,
 )
+from lemma_checks import solve_lambda_from_counts, standard_lattice
 from tamenorm import lattice, trc
 from tamenorm.lattice import (
     BoundExceeded,
@@ -27,7 +28,6 @@ from tamenorm.lattice import (
     contains,
     enumerate_X_ge1,
     relative_position,
-    solve_lambda_from_counts,
     sublattices_up_to_depth,
     verify_inclusion_exclusion,
     verify_measure_identity,
@@ -45,7 +45,7 @@ def diag_lattice(exps, ell):
 
 
 def test_standard_lattice_is_identity():
-    L = LatticeClass.standard(3, 5)
+    L = standard_lattice(3, 5)
     assert L.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -62,7 +62,7 @@ def test_relative_position_derived():
 
 def test_prime_to_ell_structure_is_trivialized():
     # over Z_2, 3 is a unit: diag(3,1) spans Z^2; diag(6,1) spans diag(2,1)
-    assert LatticeClass.from_rows([[3, 0], [0, 1]], 2) == LatticeClass.standard(2, 2)
+    assert LatticeClass.from_rows([[3, 0], [0, 1]], 2) == standard_lattice(2, 2)
     assert LatticeClass.from_rows([[6, 0], [0, 1]], 2) == diag_lattice([1, 0], 2)
 
 
@@ -155,7 +155,7 @@ def test_ell_normalize_is_canonical_on_random_rows():
 
 
 def test_contains_trivial_cases():
-    Z2 = LatticeClass.standard(2, 3)
+    Z2 = standard_lattice(2, 3)
     L1 = diag_lattice([1, 0], 3)
     S = diag_lattice([1, 1], 3)
     assert contains(Z2, L1) and contains(Z2, S)
@@ -165,7 +165,7 @@ def test_contains_trivial_cases():
 
 def test_join_examples():
     ell = 3
-    Z2 = LatticeClass.standard(2, ell)
+    Z2 = standard_lattice(2, ell)
     L = LatticeClass.from_rows([[1, 2], [0, 3]], ell)  # kernel of x + y mod 3
     assert join(L, Z2) == L
     assert join(L, L) == L

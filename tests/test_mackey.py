@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -11,7 +13,6 @@ from tamenorm.mackey import (
     check_cartesian_axiom,
     check_convolution,
     check_coset_expansion,
-    check_double_coset_dependence,
     check_finite_level_diagram,
     check_galois_axiom,
     check_pushforward_equivariance,
@@ -19,13 +20,13 @@ from tamenorm.mackey import (
     completed_pushforward,
     hecke_map,
     ordinary_projector,
-    ordinary_projector_perturbed_route,
     upsilon_closure,
     fn_equal,
 )
 from tamenorm import mackey
 from tamenorm.matrices import mat_mul_modq
 
+from lemma_checks import check_double_coset_dependence, ordinary_projector_perturbed_route
 from oracles import ref_max_aux_level
 
 
@@ -450,6 +451,22 @@ def test_ordinary_projector_uniqueness_via_perturbed_route():
         e2, c2 = ordinary_projector_perturbed_route(PadicEndo(p, N, A))
         assert c1["pass"] and c2["pass"]
         assert e1 == e2
+
+
+def test_perturbed_route_certificates_are_pinned():
+    # sha256 of json.dumps({"e": e, "cert": cert}, sort_keys=True) plus a
+    # newline per matrix, computed when the route still lived in tamenorm.mackey
+    rng = random.Random(97)
+    h = hashlib.sha256()
+    for _ in range(15):
+        p = rng.choice([2, 3, 5])
+        N = rng.randrange(2, 6)
+        d = rng.randrange(1, 5)
+        q = p ** N
+        A = tuple(tuple(rng.randrange(q) for _ in range(d)) for _ in range(d))
+        e, cert = ordinary_projector_perturbed_route(PadicEndo(p, N, A))
+        h.update(json.dumps({"e": e, "cert": cert}, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == "611ebe1eb82467c7c767bf16336eaa7b3ed21432e40b672b2f17833342fb682b"
 
 
 # companion matrix of x^6 + x^3 + 1 (divides x^9 - 1) over F_2
